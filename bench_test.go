@@ -3,11 +3,10 @@ package tesc
 // The benchmarks below regenerate every table and figure of the paper's
 // evaluation (one Benchmark per artifact, wrapping the runners in
 // internal/bench at a reduced scale so `go test -bench=.` completes in
-// minutes), plus the ablation benchmarks DESIGN.md §5 calls out for the
-// repository's own design decisions.
+// minutes), plus ablation benchmarks for the repository's own design
+// decisions.
 //
-// For paper-scale outputs run the cmd/tescbench binary instead; the
-// committed EXPERIMENTS.md records those results.
+// For paper-scale outputs run the cmd/tescbench binary instead.
 
 import (
 	"io"
@@ -166,7 +165,7 @@ func BenchmarkEndToEnd(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------
-// Ablation benchmarks (DESIGN.md §5).
+// Ablation benchmarks: the repository's own design decisions.
 // ---------------------------------------------------------------------
 
 // BenchmarkAblationKendall compares the O(n²) Kendall computation the

@@ -8,8 +8,7 @@
 //	tescbench -exp table1 -dblp-scale 1.0 -pairs 100   # paper-sized
 //
 // Output is aligned text: one block per figure/table, directly
-// comparable with the published plots (see EXPERIMENTS.md for the
-// committed outputs and the paper-vs-measured discussion).
+// comparable with the published plots.
 //
 // With -serve, tescbench instead load-tests a running tescd daemon:
 // it registers a synthetic graph with a planted attracting event pair,

@@ -10,8 +10,8 @@ import (
 // The generators below expose the repository's synthetic graph models
 // through the public API so example programs and downstream users can
 // produce realistic test beds without real datasets. Each mirrors one of
-// the paper's three evaluation graphs; see DESIGN.md §3 for the
-// correspondence argument.
+// the paper's three evaluation graphs; the internal/graphgen package
+// documentation gives the correspondence argument.
 
 // RandomCommunityGraph generates a planted-partition graph: communities
 // blocks of size nodes each, with expected intra-community degree

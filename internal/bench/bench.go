@@ -5,7 +5,7 @@
 // command line; bench_test.go wraps them in testing.B benchmarks.
 //
 // The paper's datasets are proprietary or unavailable, so runners operate
-// on the surrogate graphs documented in DESIGN.md §3 (planted-partition
+// on the surrogate graphs of internal/graphgen (planted-partition
 // for DBLP, hub graph for Intrusion, R-MAT for Twitter). Every runner
 // takes a Config whose Scale knobs shrink or grow the workload; defaults
 // are laptop-sized.
@@ -45,8 +45,8 @@ type Config struct {
 	Workers int
 }
 
-// DefaultConfig returns the laptop-sized configuration used for the
-// committed EXPERIMENTS.md outputs: minutes per figure, shapes intact.
+// DefaultConfig returns the laptop-sized configuration: minutes per
+// figure, shapes intact.
 func DefaultConfig() Config {
 	return Config{
 		DBLPScale:       0.2, // ≈20k nodes

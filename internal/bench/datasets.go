@@ -10,12 +10,12 @@ import (
 // RunDatasets renders the surrogate-dataset characterization table: the
 // structural profile of each generated graph next to the figures the
 // paper reports (or implies) for the real datasets, backing the
-// substitution arguments of DESIGN.md §3.
+// substitution arguments of the internal/graphgen package documentation.
 func RunDatasets(cfg Config) (Table, error) {
 	rng := rand.New(rand.NewPCG(cfg.Seed, 0xd5))
 	t := Table{
 		ID:    "datasets",
-		Title: "surrogate datasets vs the paper's (real graphs unavailable; DESIGN.md §3)",
+		Title: "surrogate datasets vs the paper's (real graphs unavailable; see internal/graphgen)",
 		Header: []string{
 			"dataset", "nodes", "edges", "avg-deg", "max-deg", "cc", "diam≈", "paper",
 		},

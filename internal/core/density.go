@@ -8,9 +8,9 @@ import (
 //
 // A single traversal from r computes the vicinity size |V^h_r|, the two
 // event occurrence counts, and the event-node count |Va∪b ∩ V^h_r| that
-// the importance-sampling estimator needs for p(r) — the shared-BFS
-// optimization called out in DESIGN.md: evaluating p(r) costs nothing on
-// top of the density pass.
+// the importance-sampling estimator needs for p(r). Sharing the BFS
+// this way means evaluating p(r) costs nothing on top of the density
+// pass.
 type Density struct {
 	VicinitySize int // |V^h_r|, the normalizing "area" of Eq. 2
 	CountA       int // |Va ∩ V^h_r|
@@ -93,10 +93,11 @@ func (e *DensityEvaluator) Traversals() int64 { return e.BFSCount }
 // a per-node callback, and the density accumulation is a branch-light
 // scan of the visited buffer against the problem's packed label array —
 // one byte load per node instead of two bitset probes behind a closure
-// call. EvalReference retains the original callback-based kernel; the
-// two are bit-identical (see TestFlatKernelMatchesReference), because
-// the flat kernel accumulates in the exact visit order of the reference
-// path and unit-intensity sums of 1.0 are exact in float64.
+// call. The tests keep the original callback-based kernel as an oracle
+// (EvalReference in flat_test.go); the two are bit-identical (see
+// TestFlatKernelMatchesReference), because the flat kernel accumulates
+// in the exact visit order of the reference path and unit-intensity
+// sums of 1.0 are exact in float64.
 func (e *DensityEvaluator) Eval(r graph.NodeID) Density {
 	e.BFSCount++
 	nodes := e.bfs.Collect([]graph.NodeID{r}, e.h)
@@ -141,43 +142,6 @@ func (e *DensityEvaluator) Eval(r graph.NodeID) Density {
 			d.CountUnion++
 		}
 	}
-	return d
-}
-
-// EvalReference is the original closure-based density kernel: one
-// BFS.Run with a visit callback testing the occurrence bitsets per
-// node. It is retained as the differential-testing oracle for Eval and
-// MultiEvaluator (and is the "before" side of the PR 4 benchmarks); it
-// advances BFSCount like Eval.
-func (e *DensityEvaluator) EvalReference(r graph.NodeID) Density {
-	e.BFSCount++
-	var d Density
-	va, vb := e.p.Va, e.p.Vb
-	ia, ib := e.p.IntensityA, e.p.IntensityB
-	e.bfs.Run([]graph.NodeID{r}, e.h, func(v graph.NodeID, _ int) {
-		d.VicinitySize++
-		inA := va.Contains(v)
-		inB := vb.Contains(v)
-		if inA {
-			d.CountA++
-			if ia != nil {
-				d.SumA += ia[v]
-			} else {
-				d.SumA++
-			}
-		}
-		if inB {
-			d.CountB++
-			if ib != nil {
-				d.SumB += ib[v]
-			} else {
-				d.SumB++
-			}
-		}
-		if inA || inB {
-			d.CountUnion++
-		}
-	})
 	return d
 }
 

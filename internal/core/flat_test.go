@@ -8,6 +8,43 @@ import (
 	"tesc/internal/graph"
 )
 
+// EvalReference is the original closure-based density kernel: one
+// BFS.Run with a visit callback testing the occurrence bitsets per
+// node. It is the differential-testing oracle for Eval and
+// MultiEvaluator, and the "before" side of the density benchmarks; it
+// advances BFSCount like Eval.
+func (e *DensityEvaluator) EvalReference(r graph.NodeID) Density {
+	e.BFSCount++
+	var d Density
+	va, vb := e.p.Va, e.p.Vb
+	ia, ib := e.p.IntensityA, e.p.IntensityB
+	e.bfs.Run([]graph.NodeID{r}, e.h, func(v graph.NodeID, _ int) {
+		d.VicinitySize++
+		inA := va.Contains(v)
+		inB := vb.Contains(v)
+		if inA {
+			d.CountA++
+			if ia != nil {
+				d.SumA += ia[v]
+			} else {
+				d.SumA++
+			}
+		}
+		if inB {
+			d.CountB++
+			if ib != nil {
+				d.SumB += ib[v]
+			} else {
+				d.SumB++
+			}
+		}
+		if inA || inB {
+			d.CountUnion++
+		}
+	})
+	return d
+}
+
 // randomGraph builds a seeded sparse random graph, directed or not.
 func randomGraph(t *testing.T, n int, m int, directed bool, seed uint64) *graph.Graph {
 	t.Helper()

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand/v2"
+	"sync"
 
 	"tesc/internal/graph"
 	"tesc/internal/sampling"
@@ -27,7 +28,12 @@ func (s RefSample) Weighted() bool { return s.Freq != nil }
 // SamplerStats counts the work done during reference selection; the
 // complexity analysis of §4.4 is expressed in exactly these quantities.
 type SamplerStats struct {
-	BFSCount   int64 // h-hop BFS traversals performed by the sampler
+	// BFSCount counts the h-hop BFS traversals the sampler performed.
+	// The rejection and importance samplers memoize the vicinities of
+	// the event nodes they draw, so for them it is at most the number
+	// of draws (plus, for rejection, one per draw for the acceptance
+	// test).
+	BFSCount   int64
 	Draws      int64 // sampling iterations (importance sampling's n')
 	Rejections int64 // RejectSamp coin-flip failures
 	Examined   int64 // whole-graph nodes examined for eligibility
@@ -57,6 +63,97 @@ const (
 	maxDrawSlack  = 1000
 )
 
+// engineFor returns a BFS engine bound to g: one taken from pool when
+// the pool is bound to g (pooled is true; the caller puts it back),
+// else the sampler-owned *own, reallocated when it is bound elsewhere.
+func engineFor(pool *graph.EnginePool, own **graph.BFS, g *graph.Graph) (bfs *graph.BFS, pooled bool) {
+	if pool != nil && pool.Graph() == g {
+		return pool.Get(), true
+	}
+	if *own == nil || (*own).Graph() != g {
+		*own = graph.NewBFS(g)
+	}
+	return *own, false
+}
+
+// vicinityMemo serves the h-vicinities of one request's event nodes to
+// the rejection and importance samplers, traversing each distinct event
+// node at most once. Vicinities are copied into one arena, addressed by
+// a [start,end) span per event-node index. The arena is capped at |V|
+// IDs — the same O(|V|) as the engine's own mark array — so no request
+// buys unbounded memory: a vicinity that does not fit is returned
+// straight from the engine's Collect buffer and traversed again when
+// drawn again. Every vicinity comes back in Collect's visit order
+// whether memoized or not, and callers never mutate it, so the memo is
+// a pure cache: the draws are identical with it on, off or capped.
+type vicinityMemo struct {
+	bfs        *graph.BFS
+	nodes      []graph.NodeID // event nodes; spans is indexed like nodes
+	h          int
+	limit      int // arena cap in IDs
+	arena      []graph.NodeID
+	spans      []memoSpan
+	traversals int64 // h-hop BFS run so far
+}
+
+// memoSpan locates one memoized vicinity in the arena. A vicinity
+// always holds its own centre, so end == 0 marks an absent entry.
+type memoSpan struct{ start, end int32 }
+
+// memos recycles vicinityMemo buffers across requests. The arena is a
+// sampler's largest allocation, and tescd builds a fresh sampler per
+// query, so without the pool every correlate would regrow it.
+var memos = sync.Pool{New: func() any { return new(vicinityMemo) }}
+
+// newVicinityMemo takes a memo from the pool; release returns it.
+func newVicinityMemo(bfs *graph.BFS, nodes []graph.NodeID, h int, capOverride *int) *vicinityMemo {
+	limit := bfs.Graph().NumNodes()
+	if capOverride != nil {
+		limit = *capOverride
+	}
+	m := memos.Get().(*vicinityMemo)
+	m.bfs, m.nodes, m.h, m.limit, m.traversals = bfs, nodes, h, limit, 0
+	m.arena = m.arena[:0]
+	if cap(m.spans) < len(nodes) {
+		m.spans = make([]memoSpan, len(nodes))
+	} else {
+		m.spans = m.spans[:len(nodes)]
+		clear(m.spans)
+	}
+	return m
+}
+
+// release returns the memo to the pool; its vicinities must no longer
+// be in use.
+func (m *vicinityMemo) release() {
+	m.bfs, m.nodes = nil, nil
+	memos.Put(m)
+}
+
+// vicinity returns V^h of nodes[i] in Collect's visit order. The slice
+// must not be modified, and is valid only until the engine's next
+// traversal when it did not fit the arena.
+func (m *vicinityMemo) vicinity(i int) []graph.NodeID {
+	if sp := m.spans[i]; sp.end > 0 {
+		return m.arena[sp.start:sp.end]
+	}
+	m.traversals++
+	vic := m.bfs.Collect([]graph.NodeID{m.nodes[i]}, m.h)
+	need := len(m.arena) + len(vic)
+	if need > m.limit {
+		return vic
+	}
+	if need > cap(m.arena) {
+		grown := make([]graph.NodeID, len(m.arena), min(m.limit, max(need, 2*cap(m.arena), 1024)))
+		copy(grown, m.arena)
+		m.arena = grown
+	}
+	start := len(m.arena)
+	m.arena = append(m.arena, vic...)
+	m.spans[i] = memoSpan{int32(start), int32(need)}
+	return m.arena[start:need]
+}
+
 // ---------------------------------------------------------------------
 // Batch BFS (Algorithm 1)
 // ---------------------------------------------------------------------
@@ -78,13 +175,9 @@ func (s *BatchBFSSampler) Name() string { return "batch-bfs" }
 
 // SampleReferences implements Sampler.
 func (s *BatchBFSSampler) SampleReferences(p *Problem, h, n int, rng *rand.Rand) (RefSample, error) {
-	bfs := s.bfs
-	if s.Engines != nil && s.Engines.Graph() == p.G {
-		bfs = s.Engines.Get()
+	bfs, pooled := engineFor(s.Engines, &s.bfs, p.G)
+	if pooled {
 		defer s.Engines.Put(bfs)
-	} else if bfs == nil || bfs.Graph() != p.G {
-		bfs = graph.NewBFS(p.G)
-		s.bfs = bfs
 	}
 	// The engine's flat visit buffer IS the enumerated population; the
 	// draw shuffles its prefix in place (engine scratch is fair game
@@ -144,15 +237,18 @@ func (s *AllNodesSampler) SampleReferences(p *Problem, h, n int, rng *rand.Rand)
 // with probability |V^h_v|/Nsum, draw u uniformly from V^h_v, then accept
 // u with probability 1/|V^h_u ∩ Va∪b|. Proposition 1 shows each node of
 // V^h_{a∪b} is produced with probability 1/Nsum, so accepted nodes form a
-// uniform sample. Each draw costs two h-hop BFS; the expected number of
-// draws per accepted node is Nsum/N, which grows with vicinity overlap —
-// the inefficiency that motivates the importance sampler.
+// uniform sample. Each draw costs one h-hop BFS from u; step 2's
+// vicinities come from the per-request memo, so the BFS from v is paid
+// once per distinct event node drawn. The expected number of draws per
+// accepted node
+// is Nsum/N, which grows with vicinity overlap — the inefficiency that
+// motivates the importance sampler.
 type RejectionSampler struct {
 	// Index must cover level h for the problem's graph.
 	Index *vicinity.Index
 
-	bfs *graph.BFS
-	buf []graph.NodeID
+	bfs     *graph.BFS
+	memoCap *int // test hook: replaces the |V| arena cap of vicinityMemo
 }
 
 // Name implements Sampler.
@@ -174,18 +270,16 @@ func (s *RejectionSampler) SampleReferences(p *Problem, h, n int, rng *rand.Rand
 
 	var st SamplerStats
 	st.Population = -1
+	memo := newVicinityMemo(s.bfs, eventNodes, h, s.memoCap)
+	defer memo.release()
 	seen := make(map[graph.NodeID]bool, n)
 	nodes := make([]graph.NodeID, 0, n)
 	maxDraws := int64(maxDrawFactor)*int64(n) + maxDrawSlack
 	for len(nodes) < n && st.Draws < maxDraws {
 		st.Draws++
-		// Step 1: v ∝ |V^h_v|.
-		v := eventNodes[alias.Draw(rng)]
-		// Step 2: u uniform from V^h_v.
-		s.buf = s.buf[:0]
-		s.buf = s.bfs.Vicinity(v, h, s.buf)
-		st.BFSCount++
-		u := s.buf[rng.IntN(len(s.buf))]
+		// Step 1: v ∝ |V^h_v|; step 2: u uniform from V^h_v.
+		vic := memo.vicinity(alias.Draw(rng))
+		u := vic[rng.IntN(len(vic))]
 		// Step 3: c = |V^h_u ∩ Va∪b|.
 		c := 0
 		s.bfs.Run([]graph.NodeID{u}, h, func(w graph.NodeID, _ int) {
@@ -204,6 +298,7 @@ func (s *RejectionSampler) SampleReferences(p *Problem, h, n int, rng *rand.Rand
 			nodes = append(nodes, u)
 		}
 	}
+	st.BFSCount += memo.traversals
 	if len(nodes) < 2 {
 		return RefSample{}, ErrTooFewReferences
 	}
@@ -233,19 +328,30 @@ func (s *RejectionSampler) checkIndex(p *Problem, h int) error {
 // the weighted estimator t̃ (Eq. 8), a consistent estimator of τ
 // (Theorem 1).
 //
-// BatchSize > 1 enables the §5.2.2 refinement: several reference nodes
-// are drawn per event-node BFS, trading a little estimator accuracy
-// (samples become locally dependent) for proportionally fewer traversals.
-// The paper settles on 3 for h=2 and 6 for h=3 (Figure 7).
+// Each distinct event node drawn is traversed once per request while
+// its vicinity fits the |V|-capped memo (vicinityMemo), and each draw
+// from its vicinity costs O(BatchSize) random numbers, not O(|V^h_v|):
+// the sampler's cost follows the distinct event nodes it touches rather
+// than the number of draws.
+//
+// BatchSize > 1 enables the §5.2.2 refinement: several distinct
+// reference nodes are drawn per event-node draw, trading a little
+// estimator accuracy (samples become locally dependent) for
+// proportionally fewer event-node draws. The paper settles on 3 for h=2
+// and 6 for h=3 (Figure 7).
 type ImportanceSampler struct {
 	// Index must cover level h for the problem's graph.
 	Index *vicinity.Index
 	// BatchSize is the number of reference nodes drawn per event-node
-	// BFS; 0 or 1 means the plain Algorithm 2.
+	// draw; 0 or 1 means the plain Algorithm 2.
 	BatchSize int
+	// Engines, when non-nil and bound to the problem's graph, supplies
+	// the traversal engine from a shared pool instead of a sampler-owned
+	// allocation (see BatchBFSSampler.Engines).
+	Engines *graph.EnginePool
 
-	bfs *graph.BFS
-	buf []graph.NodeID
+	bfs     *graph.BFS
+	memoCap *int // test hook: replaces the |V| arena cap of vicinityMemo
 }
 
 // Name implements Sampler.
@@ -262,13 +368,11 @@ func (s *ImportanceSampler) SampleReferences(p *Problem, h, n int, rng *rand.Ran
 	if err := rs.checkIndex(p, h); err != nil {
 		return RefSample{}, fmt.Errorf("tesc: importance sampler: %w", err)
 	}
-	if s.bfs == nil || s.bfs.Graph() != p.G {
-		s.bfs = graph.NewBFS(p.G)
+	bfs, pooled := engineFor(s.Engines, &s.bfs, p.G)
+	if pooled {
+		defer s.Engines.Put(bfs)
 	}
-	batch := s.BatchSize
-	if batch < 1 {
-		batch = 1
-	}
+	batch := max(s.BatchSize, 1)
 	eventNodes := p.EventNodes()
 	alias, err := sampling.NewAlias(s.Index.Weights(eventNodes, h))
 	if err != nil {
@@ -277,19 +381,19 @@ func (s *ImportanceSampler) SampleReferences(p *Problem, h, n int, rng *rand.Ran
 
 	var st SamplerStats
 	st.Population = -1
+	memo := newVicinityMemo(bfs, eventNodes, h, s.memoCap)
+	defer memo.release()
 	pos := make(map[graph.NodeID]int, n) // node → index in nodes
 	nodes := make([]graph.NodeID, 0, n)
 	freq := make([]int, 0, n)
+	picks := make([]int, 0, batch)
 	maxDraws := int64(maxDrawFactor)*int64(n) + maxDrawSlack
 	for len(nodes) < n && st.Draws < maxDraws {
-		// Line 4: v ∝ |V^h_v|.
-		v := eventNodes[alias.Draw(rng)]
-		// Line 5: BFS from v, then draw from V^h_v.
-		s.buf = s.buf[:0]
-		s.buf = s.bfs.Vicinity(v, h, s.buf)
-		st.BFSCount++
-		drawn := sampling.SampleK(s.buf, batch, rng)
-		for _, r := range drawn {
+		// Line 4: v ∝ |V^h_v|; line 5: draw from V^h_v.
+		vic := memo.vicinity(alias.Draw(rng))
+		picks = sampling.SampleIndices(len(vic), batch, rng, picks)
+		for _, j := range picks {
+			r := vic[j]
 			st.Draws++
 			if i, ok := pos[r]; ok {
 				freq[i]++
@@ -303,6 +407,7 @@ func (s *ImportanceSampler) SampleReferences(p *Problem, h, n int, rng *rand.Ran
 			}
 		}
 	}
+	st.BFSCount = memo.traversals
 	if len(nodes) < 2 {
 		return RefSample{}, ErrTooFewReferences
 	}

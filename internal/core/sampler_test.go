@@ -193,27 +193,31 @@ func TestImportanceSamplerDistribution(t *testing.T) {
 		total += c
 	}
 
-	s := &ImportanceSampler{Index: idx}
-	counts := map[graph.NodeID]int64{}
-	var draws int64
-	const rounds = 3000
-	for i := 0; i < rounds; i++ {
-		sample, err := s.SampleReferences(p, 1, 2, rng)
-		if err != nil {
-			t.Fatal(err)
+	// A batch's draws come in uniformly random order, so the first draw
+	// of a batched call follows the same p(r).
+	for _, batch := range []int{1, 3} {
+		s := &ImportanceSampler{Index: idx, BatchSize: batch}
+		counts := map[graph.NodeID]int64{}
+		var draws int64
+		const rounds = 3000
+		for i := 0; i < rounds; i++ {
+			sample, err := s.SampleReferences(p, 1, 2, rng)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// count only the first draw of each call (unbiased by the
+			// distinctness cutoff)
+			counts[sample.Nodes[0]]++
+			draws++
 		}
-		// count only the first draw of each call (unbiased by the
-		// distinctness cutoff)
-		counts[sample.Nodes[0]]++
-		draws++
-	}
-	for _, r := range pop.Members() {
-		want := expected[r] / total * float64(draws)
-		got := float64(counts[r])
-		pr := expected[r] / total
-		sigma := math.Sqrt(float64(draws) * pr * (1 - pr))
-		if math.Abs(got-want) > 5*sigma+1 {
-			t.Errorf("node %d drawn %.0f times, want %.1f ± %.1f", r, got, want, 5*sigma)
+		for _, r := range pop.Members() {
+			want := expected[r] / total * float64(draws)
+			got := float64(counts[r])
+			pr := expected[r] / total
+			sigma := math.Sqrt(float64(draws) * pr * (1 - pr))
+			if math.Abs(got-want) > 5*sigma+1 {
+				t.Errorf("batch %d: node %d drawn %.0f times, want %.1f ± %.1f", batch, r, got, want, 5*sigma)
+			}
 		}
 	}
 }

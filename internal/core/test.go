@@ -63,8 +63,9 @@ type Options struct {
 	// Engines, when non-nil, supplies pooled BFS engines bound to the
 	// problem's graph, so repeated tests stop allocating an O(|V|) mark
 	// array each (tescd pools one per graph version). Used by the
-	// built-in density evaluator and the BatchBFS sampler; ignored when
-	// bound to a different graph.
+	// built-in density evaluator and the default Batch BFS sampler; an
+	// explicit Sampler takes its own pool (BatchBFSSampler.Engines,
+	// ImportanceSampler.Engines). Ignored when bound to a different graph.
 	Engines *graph.EnginePool
 	// Ctx, when non-nil, lets a caller abandon the test: the density
 	// phase (the dominant cost — n independent h-hop BFS) checks it

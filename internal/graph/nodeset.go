@@ -1,6 +1,6 @@
 package graph
 
-import "sort"
+import "math/bits"
 
 // NodeSet is a set of nodes supporting O(1) membership tests via a
 // bitset, plus ordered iteration via a sorted slice. It is the
@@ -19,11 +19,16 @@ type NodeSet struct {
 // NewNodeSet builds a NodeSet over a universe of n nodes from the given
 // members. The input may be unsorted and contain duplicates; out-of-range
 // IDs panic.
+//
+// The sorted member list is read back off the bitset, word by word, so
+// it comes out deduplicated and ascending without a comparison sort:
+// O(n/64 + |members|), the same order as allocating the bitset itself.
 func NewNodeSet(n int, members []NodeID) *NodeSet {
 	s := &NodeSet{
 		bits: make([]uint64, (n+63)/64),
 		n:    n,
 	}
+	distinct := 0
 	for _, v := range members {
 		if v < 0 || int(v) >= n {
 			panic("graph: NodeSet member out of range")
@@ -31,10 +36,19 @@ func NewNodeSet(n int, members []NodeID) *NodeSet {
 		w, b := v>>6, uint(v&63)
 		if s.bits[w]&(1<<b) == 0 {
 			s.bits[w] |= 1 << b
-			s.sorted = append(s.sorted, v)
+			distinct++
 		}
 	}
-	sort.Slice(s.sorted, func(i, j int) bool { return s.sorted[i] < s.sorted[j] })
+	if distinct == 0 {
+		return s
+	}
+	s.sorted = make([]NodeID, 0, distinct)
+	for w, word := range s.bits {
+		for word != 0 {
+			s.sorted = append(s.sorted, NodeID(w<<6|bits.TrailingZeros64(word)))
+			word &= word - 1
+		}
+	}
 	return s
 }
 

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand/v2"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -175,5 +176,39 @@ func TestNodeSetCountInUniverse(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestNewNodeSetMatchesSortOracle pins NewNodeSet's bitset scan against
+// sort+dedup of the input, across universe sizes around the 64-bit word
+// boundaries and member lists with duplicates and the edge IDs 0, 63,
+// 64 and n−1.
+func TestNewNodeSetMatchesSortOracle(t *testing.T) {
+	rng := rand.New(rand.NewPCG(61, 1))
+	for trial := 0; trial < 2000; trial++ {
+		n := 1 + rng.IntN(300)
+		if trial%5 == 0 {
+			n = 64 * (1 + rng.IntN(3)) // exact word multiples
+		}
+		var members []NodeID
+		for i, k := 0, rng.IntN(2*n); i < k; i++ {
+			members = append(members, NodeID(rng.IntN(n)))
+		}
+		for _, edge := range []int{0, 63, 64, n - 1} {
+			if edge < n && rng.IntN(2) == 0 {
+				members = append(members, NodeID(edge), NodeID(edge))
+			}
+		}
+		if trial%7 == 0 {
+			members = nil
+		}
+		want := slices.Compact(slices.Sorted(slices.Values(members)))
+		got := NewNodeSet(n, members).Members()
+		if !slices.Equal(got, want) {
+			t.Fatalf("n=%d members=%v: got %v, want %v", n, members, got, want)
+		}
+		if len(want) == 0 && got != nil {
+			t.Fatalf("n=%d: empty set has non-nil members %v", n, got)
+		}
 	}
 }

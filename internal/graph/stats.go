@@ -2,9 +2,9 @@ package graph
 
 import "math/rand/v2"
 
-// Stats summarizes structural properties of a graph. It backs the dataset
-// descriptions in EXPERIMENTS.md (node/edge counts, degree profile) and
-// the surrogate-vs-paper comparisons in DESIGN.md.
+// Stats summarizes structural properties of a graph (node/edge counts,
+// degree profile). It backs the surrogate-vs-paper dataset table of
+// internal/bench (RunDatasets).
 type Stats struct {
 	Nodes          int
 	Edges          int64
@@ -98,7 +98,9 @@ func EstimateDiameter(g *Graph, rounds int, rng *rand.Rand) int {
 // LocalClusteringCoefficient returns the fraction of v's neighbor pairs
 // that are themselves adjacent (0 for degree < 2). High clustering is
 // the co-authorship-graph property that makes 1-hop density correlations
-// detectable (see DESIGN.md §3).
+// detectable: a node's co-authors tend to be co-authors of each other,
+// so the 1-hop vicinities of nearby reference nodes overlap and an event
+// concentrated in a community raises their densities together.
 func LocalClusteringCoefficient(g *Graph, v NodeID) float64 {
 	ns := g.Neighbors(v)
 	if len(ns) < 2 {

@@ -3,7 +3,7 @@
 // redistributable) and provides the random edge add/remove mutators used
 // by the graph-density experiment (Figure 8).
 //
-// Generator choice per dataset is documented in DESIGN.md §3:
+// Generator choice per dataset:
 //
 //   - DBLP co-author graph  → PlantedPartition: community structure with
 //     dense intra-community and sparse inter-community edges, matching the

@@ -9,6 +9,7 @@ package sampling
 import (
 	"fmt"
 	"math/rand/v2"
+	"slices"
 )
 
 // Alias is a Walker alias table: O(n) construction, O(1) draws from an
@@ -158,6 +159,30 @@ func SampleKInPlace[T any](population []T, k int, rng *rand.Rand) []T {
 		population[i], population[j] = population[j], population[i]
 	}
 	return population[:k]
+}
+
+// SampleIndices appends to dst[:0] k distinct indices of [0, n) (all n
+// when k ≥ n) and returns it. It uses Floyd's algorithm with Bentley
+// and Floyd's ordered insertion, so the result is a uniformly random
+// k-subset in uniformly random order, drawn with exactly min(k, n)
+// random numbers. Cost is O(k²) in the membership scans, which is the
+// right trade for the small k of batched importance sampling; the
+// population itself is never touched, so callers can draw from a
+// shared read-only slice. For k = 1 it is exactly rng.IntN(n).
+func SampleIndices(n, k int, rng *rand.Rand, dst []int) []int {
+	dst = dst[:0]
+	if k > n {
+		k = n
+	}
+	for j := n - k; j < n; j++ {
+		t := rng.IntN(j + 1)
+		if at := slices.Index(dst, t); at >= 0 {
+			dst = slices.Insert(dst, at+1, j)
+		} else {
+			dst = slices.Insert(dst, 0, t)
+		}
+	}
+	return dst
 }
 
 // SampleK returns k distinct elements chosen uniformly from population

@@ -208,3 +208,61 @@ func TestReservoirUniformity(t *testing.T) {
 		}
 	}
 }
+
+func TestSampleIndices(t *testing.T) {
+	rng := rand.New(rand.NewPCG(58, 1))
+	for n := 1; n <= 9; n++ {
+		for k := 1; k <= 11; k++ {
+			got := SampleIndices(n, k, rng, nil)
+			if want := min(k, n); len(got) != want {
+				t.Fatalf("n=%d k=%d: %d indices, want %d", n, k, len(got), want)
+			}
+			seen := map[int]bool{}
+			for _, i := range got {
+				if i < 0 || i >= n || seen[i] {
+					t.Fatalf("n=%d k=%d: bad or repeated index in %v", n, k, got)
+				}
+				seen[i] = true
+			}
+		}
+	}
+	// k = 1 is exactly one IntN(n), and every call spends exactly
+	// min(k, n) random numbers: the streams stay in lockstep.
+	a, b := rand.New(rand.NewPCG(59, 1)), rand.New(rand.NewPCG(59, 1))
+	for i := 0; i < 100; i++ {
+		if got, want := SampleIndices(17, 1, a, nil)[0], b.IntN(17); got != want {
+			t.Fatalf("k=1 draw %d = %d, IntN gave %d", i, got, want)
+		}
+		SampleIndices(17, 4, a, nil)
+		for j := 0; j < 4; j++ {
+			b.IntN(1) // one random number each
+		}
+		if a.Uint64() != b.Uint64() {
+			t.Fatal("SampleIndices(17, 4) did not use exactly 4 random numbers")
+		}
+	}
+}
+
+// Ordered samples must be uniform over the n·(n−1)·…·(n−k+1) ordered
+// tuples, not merely over subsets: batched importance sampling uses the
+// first index of a batch as an unbiased draw.
+func TestSampleIndicesOrderedUniform(t *testing.T) {
+	rng := rand.New(rand.NewPCG(60, 1))
+	const n, k, trials = 5, 3, 60_000
+	counts := map[[k]int]int{}
+	var dst []int
+	for i := 0; i < trials; i++ {
+		dst = SampleIndices(n, k, rng, dst)
+		counts[[k]int(dst)]++
+	}
+	if len(counts) != 60 {
+		t.Fatalf("saw %d ordered triples, want all 60", len(counts))
+	}
+	want := float64(trials) / 60
+	sigma := math.Sqrt(float64(trials) * (1.0 / 60) * (59.0 / 60))
+	for tuple, c := range counts {
+		if math.Abs(float64(c)-want) > 5*sigma {
+			t.Errorf("tuple %v drawn %d times, want %.0f ± %.0f", tuple, c, want, 5*sigma)
+		}
+	}
+}

@@ -401,6 +401,9 @@ type Result struct {
 	// SamplerBFS counts the h-hop BFS traversals spent selecting
 	// reference nodes; DensityBFS those spent computing densities
 	// (always N). Together they characterize a method's cost (§4.4).
+	// Importance and Rejection memoize the vicinities of the event
+	// nodes they draw, so for Importance SamplerBFS is at most the
+	// number of draws and usually well below it.
 	SamplerBFS int64
 	DensityBFS int64
 }
@@ -496,7 +499,11 @@ func makeSampler(opts Options) (core.Sampler, error) {
 		if opts.Index == nil {
 			return nil, fmt.Errorf("tesc: Importance sampling requires Options.Index (see Graph.BuildVicinityIndex)")
 		}
-		return &core.ImportanceSampler{Index: opts.Index.idx, BatchSize: opts.ImportanceBatch}, nil
+		s := &core.ImportanceSampler{Index: opts.Index.idx, BatchSize: opts.ImportanceBatch}
+		if opts.Engines != nil {
+			s.Engines = opts.Engines.p
+		}
+		return s, nil
 	case WholeGraph:
 		return &core.WholeGraphSampler{}, nil
 	case Rejection:
