@@ -297,12 +297,9 @@ func BenchmarkAblationBFSFresh(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationDensity{Sequential,Parallel} measure the density
-// phase (the dominant per-test cost) with and without the worker pool.
-func BenchmarkAblationDensitySequential(b *testing.B) { benchDensityPhase(b, 1) }
-func BenchmarkAblationDensityParallel(b *testing.B)   { benchDensityPhase(b, -1) }
-
-func benchDensityPhase(b *testing.B, workers int) {
+// BenchmarkAblationDensitySequential measures the density phase (the
+// dominant per-test cost): 900 h=2 evaluations on one engine.
+func BenchmarkAblationDensitySequential(b *testing.B) {
 	microSetup(b)
 	eval := core.NewDensityEvaluator(microProblem, 2)
 	rng := rand.New(rand.NewPCG(11, 11))
@@ -312,11 +309,7 @@ func benchDensityPhase(b *testing.B, workers int) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if workers == 1 {
-			eval.EvalAll(refs)
-		} else {
-			eval.EvalAllParallel(refs, workers)
-		}
+		eval.EvalAll(refs)
 	}
 }
 

@@ -37,23 +37,20 @@ func allNodes(n int) []graph.NodeID {
 // with the context's cause wrapped, and does no density work.
 func TestTestCanceledBeforeStart(t *testing.T) {
 	p := bigProblem(t)
-	for _, workers := range []int{1, 4} {
-		ctx, cancel := context.WithCancel(context.Background())
-		cancel()
-		opts := DefaultOptions(2)
-		opts.SampleSize = 100
-		opts.Workers = workers
-		opts.Ctx = ctx
-		_, err := Test(p, opts)
-		if err == nil {
-			t.Fatalf("workers=%d: pre-canceled Test returned no error", workers)
-		}
-		if !errors.Is(err, ErrCanceled) {
-			t.Fatalf("workers=%d: err = %v, want errors.Is(ErrCanceled)", workers, err)
-		}
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("workers=%d: err = %v, want the context cause wrapped", workers, err)
-		}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	opts := DefaultOptions(2)
+	opts.SampleSize = 100
+	opts.Ctx = ctx
+	_, err := Test(p, opts)
+	if err == nil {
+		t.Fatal("pre-canceled Test returned no error")
+	}
+	if !errors.Is(err, ErrCanceled) {
+		t.Fatalf("err = %v, want errors.Is(ErrCanceled)", err)
+	}
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want the context cause wrapped", err)
 	}
 }
 
@@ -69,44 +66,6 @@ func TestTestDeadlineExceeded(t *testing.T) {
 	_, err := Test(p, opts)
 	if !errors.Is(err, ErrCanceled) || !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want ErrCanceled wrapping DeadlineExceeded", err)
-	}
-}
-
-// EvalAllParallelCtx: a cancel mid-phase stops the workers early and
-// reports the cancellation; a nil context runs to completion and
-// matches the sequential evaluator bit-for-bit.
-func TestEvalAllParallelCtx(t *testing.T) {
-	p := bigProblem(t)
-	rs := allNodes(500)
-
-	seq := NewDensityEvaluator(p, 2)
-	wantSA, wantSB, wantDS := seq.EvalAll(rs)
-
-	par := NewDensityEvaluator(p, 2)
-	gotSA, gotSB, gotDS, err := par.EvalAllParallelCtx(nil, rs, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range rs {
-		if gotSA[i] != wantSA[i] || gotSB[i] != wantSB[i] || gotDS[i] != wantDS[i] {
-			t.Fatalf("node %d: parallel (%g,%g) != sequential (%g,%g)", i, gotSA[i], gotSB[i], wantSA[i], wantSB[i])
-		}
-	}
-	if par.BFSCount != seq.BFSCount {
-		t.Fatalf("parallel BFSCount = %d, sequential %d", par.BFSCount, seq.BFSCount)
-	}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	ev := NewDensityEvaluator(p, 2)
-	_, _, _, err = ev.EvalAllParallelCtx(ctx, rs, 4)
-	if err == nil || !errors.Is(err, context.Canceled) {
-		t.Fatalf("pre-canceled parallel eval: err = %v, want errors.Is(context.Canceled)", err)
-	}
-	// The workers bailed at a chunk boundary: far fewer traversals than
-	// the full 500-node phase.
-	if ev.BFSCount >= int64(len(rs)) {
-		t.Fatalf("canceled eval still ran all %d traversals", ev.BFSCount)
 	}
 }
 
@@ -127,5 +86,39 @@ func TestEvalAllCtxMatchesEvalAll(t *testing.T) {
 		if gotSA[i] != wantSA[i] || gotSB[i] != wantSB[i] || gotDS[i] != wantDS[i] {
 			t.Fatalf("node %d: ctx path diverged from EvalAll", i)
 		}
+	}
+}
+
+// doneAfter is a context that reports done from its checks-th Done
+// call on, so a test can cancel a pass at a chosen check.
+type doneAfter struct {
+	context.Context
+	checks int
+	closed chan struct{}
+}
+
+func (c *doneAfter) Done() <-chan struct{} {
+	if c.checks--; c.checks <= 0 {
+		return c.closed
+	}
+	return nil
+}
+
+func (c *doneAfter) Err() error { return context.Canceled }
+
+// A pass canceled mid-way stops at the next 64-node check and reports
+// the cause.
+func TestEvalAllCtxCancelsBetweenChunks(t *testing.T) {
+	p := bigProblem(t)
+	rs := allNodes(500)
+	closed := make(chan struct{})
+	close(closed)
+	ctx := &doneAfter{Context: context.Background(), checks: 3, closed: closed}
+	ev := NewDensityEvaluator(p, 2)
+	if _, _, _, err := ev.evalAllCtx(ctx, rs); !errors.Is(err, ErrCanceled) {
+		t.Fatalf("err = %v, want ErrCanceled", err)
+	}
+	if want := int64(2 * cancelChunk); ev.BFSCount != want {
+		t.Fatalf("canceled pass ran %d traversals, want %d (two chunks)", ev.BFSCount, want)
 	}
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+
 	"tesc/internal/graph"
 )
 
@@ -60,10 +62,6 @@ type DensityEvaluator struct {
 	p   *Problem
 	h   int
 	bfs *graph.BFS
-	// Engines, when non-nil and bound to p.G, supplies the private BFS
-	// engines EvalAllParallel's workers use, so a pooled serving tier
-	// stops allocating O(|V|) traversal scratch per worker per query.
-	Engines *graph.EnginePool
 	// evaluation counters for the complexity experiments (Fig. 10a)
 	BFSCount int64 // number of h-hop traversals performed
 }
@@ -74,7 +72,7 @@ func NewDensityEvaluator(p *Problem, h int) *DensityEvaluator {
 }
 
 // NewDensityEvaluatorBFS is NewDensityEvaluator with a caller-supplied
-// BFS engine (typically from a graph.EnginePool), so serving tiers stop
+// BFS engine (typically p.G.AcquireBFS()), so serving tiers stop
 // allocating an O(|V|) mark array per query. The engine must be bound
 // to p.G.
 func NewDensityEvaluatorBFS(p *Problem, h int, bfs *graph.BFS) *DensityEvaluator {
@@ -145,23 +143,34 @@ func (e *DensityEvaluator) Eval(r graph.NodeID) Density {
 	return d
 }
 
+// cancelChunk is the number of traversals the density pass runs
+// between cancellation checks.
+const cancelChunk = 64
+
 // EvalAll evaluates every node in rs and returns the parallel density
 // vectors s^h_a and s^h_b plus the full records.
 func (e *DensityEvaluator) EvalAll(rs []graph.NodeID) (sa, sb []float64, ds []Density) {
-	sa = make([]float64, len(rs))
-	sb = make([]float64, len(rs))
-	ds = make([]Density, len(rs))
-	e.evalInto(rs, sa, sb, ds)
+	sa, sb, ds, _ = e.evalAllCtx(nil, rs)
 	return sa, sb, ds
 }
 
-// evalInto is EvalAll into caller-owned slices (len(rs) each), the
-// shared core of the sequential and parallel phases.
-func (e *DensityEvaluator) evalInto(rs []graph.NodeID, sa, sb []float64, ds []Density) {
+// evalAllCtx is EvalAll with ctx checked every cancelChunk traversals:
+// on cancellation the wrapped cause is returned and the partially
+// filled vectors must be discarded. A nil ctx never cancels.
+func (e *DensityEvaluator) evalAllCtx(ctx context.Context, rs []graph.NodeID) (sa, sb []float64, ds []Density, err error) {
+	sa = make([]float64, len(rs))
+	sb = make([]float64, len(rs))
+	ds = make([]Density, len(rs))
 	for i, r := range rs {
+		if i%cancelChunk == 0 {
+			if err := ctxErr(ctx); err != nil {
+				return sa, sb, ds, err
+			}
+		}
 		d := e.Eval(r)
 		ds[i] = d
 		sa[i] = d.SA()
 		sb[i] = d.SB()
 	}
+	return sa, sb, ds, nil
 }

@@ -154,49 +154,6 @@ func TestSpearmanRejectsWeightedSamples(t *testing.T) {
 	}
 }
 
-// --- parallel density phase --------------------------------------------
-
-func TestEvalAllParallelMatchesSequential(t *testing.T) {
-	p, _ := erProblem(t, 400, 1200, 15, 15, 207)
-	eval := NewDensityEvaluator(p, 2)
-	refs := make([]graph.NodeID, 150)
-	rng := rand.New(rand.NewPCG(208, 1))
-	for i := range refs {
-		refs[i] = graph.NodeID(rng.IntN(400))
-	}
-	sa1, sb1, ds1 := eval.EvalAll(refs)
-	for _, workers := range []int{-1, 2, 7, 64} {
-		sa2, sb2, ds2 := eval.EvalAllParallel(refs, workers)
-		for i := range refs {
-			if sa1[i] != sa2[i] || sb1[i] != sb2[i] || ds1[i] != ds2[i] {
-				t.Fatalf("workers=%d: parallel density differs at %d", workers, i)
-			}
-		}
-	}
-	// empty input
-	sa, sb, ds := eval.EvalAllParallel(nil, 4)
-	if len(sa) != 0 || len(sb) != 0 || len(ds) != 0 {
-		t.Error("empty input should give empty outputs")
-	}
-}
-
-func TestTestWithWorkers(t *testing.T) {
-	p, _ := erProblem(t, 300, 900, 12, 12, 209)
-	seq, err := Test(p, Options{H: 1, SampleSize: 80, Alpha: 0.05,
-		Rand: rand.New(rand.NewPCG(9, 9))})
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := Test(p, Options{H: 1, SampleSize: 80, Alpha: 0.05, Workers: -1,
-		Rand: rand.New(rand.NewPCG(9, 9))})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seq.Tau != par.Tau || seq.Z != par.Z {
-		t.Errorf("parallel test differs: %v vs %v", seq, par)
-	}
-}
-
 // --- all-nodes sampler (§3.2 ablation) ---------------------------------
 
 func TestAllNodesSamplerInflatesZ(t *testing.T) {

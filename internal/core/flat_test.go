@@ -175,67 +175,56 @@ func TestMultiEvaluatorMatchesReference(t *testing.T) {
 	}
 }
 
-// TestEvalAllParallelBFSCountRaceSafe pins that the atomic-counter
-// work distribution returns results identical to EvalAll and that
-// BFSCount folds in race-safely (exactly one increment per node, also
-// when two parallel evaluations share the evaluator — the plain `+=`
-// the old feeder-channel implementation used would lose counts here).
-func TestEvalAllParallelBFSCountRaceSafe(t *testing.T) {
-	g := randomGraph(t, 500, 1500, false, 77)
-	p := randomProblem(t, g, 50, false, 78)
-	rs := make([]graph.NodeID, 0, g.NumNodes())
-	for v := 0; v < g.NumNodes(); v++ {
-		rs = append(rs, graph.NodeID(v))
-	}
-	seq := NewDensityEvaluator(p, 2)
-	sa0, sb0, ds0 := seq.EvalAll(rs)
-
-	par := NewDensityEvaluator(p, 2)
-	done := make(chan struct{})
-	go func() { // concurrent use of one evaluator: counts must not be lost
-		par.EvalAllParallel(rs, 4)
-		close(done)
-	}()
-	sa1, sb1, ds1 := par.EvalAllParallel(rs, 4)
-	<-done
-
-	for i := range rs {
-		if sa0[i] != sa1[i] || sb0[i] != sb1[i] || ds0[i] != ds1[i] {
-			t.Fatalf("node %d: parallel result diverges", i)
-		}
-	}
-	if want := int64(2 * len(rs)); par.BFSCount != want {
-		t.Fatalf("BFSCount = %d, want %d (two concurrent passes)", par.BFSCount, want)
-	}
-	if seq.BFSCount != int64(len(rs)) {
-		t.Fatalf("sequential BFSCount = %d, want %d", seq.BFSCount, len(rs))
-	}
-}
-
-// TestPooledEnginesIdenticalResults runs the same test with and without
-// a shared engine pool: pooling is invisible in the statistics.
+// TestPooledEnginesIdenticalResults runs the same test on fresh
+// engines, on engines released by an earlier test, and on a successor
+// snapshot that inherited them through Delta.Compact: where an engine
+// comes from is invisible in the statistics.
 func TestPooledEnginesIdenticalResults(t *testing.T) {
 	g := randomGraph(t, 400, 1200, false, 5)
 	p := randomProblem(t, g, 40, false, 6)
-	base := Options{H: 2, SampleSize: 120, Alpha: 0.05, Rand: rand.New(rand.NewPCG(9, 9))}
-	r0, err := Test(p, base)
+	opts := func() Options {
+		return Options{H: 2, SampleSize: 120, Alpha: 0.05, Rand: rand.New(rand.NewPCG(9, 9))}
+	}
+	r0, err := Test(p, opts())
 	if err != nil {
 		t.Fatal(err)
 	}
-	pooled := base
-	pooled.Rand = rand.New(rand.NewPCG(9, 9))
-	pooled.Engines = graph.NewEnginePool(g)
-	pooled.Sampler = &BatchBFSSampler{Engines: pooled.Engines}
-	r1, err := Test(p, pooled)
+	r1, err := Test(p, opts())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r0.Tau != r1.Tau || r0.Z != r1.Z || r0.P != r1.P || r0.N != r1.N {
-		t.Fatalf("pooled result diverges: %+v vs %+v", r0, r1)
+	// Insert an absent edge, then delete it again: g2 equals g and
+	// holds g's idle engines, rebound twice.
+	v := graph.NodeID(1)
+	for g.HasEdge(0, v) {
+		v++
 	}
-	for i := range r0.SA {
-		if r0.SA[i] != r1.SA[i] || r0.SB[i] != r1.SB[i] {
-			t.Fatalf("density vector diverges at %d", i)
+	// A successor inherits engines as it is queried: take them through
+	// the intermediate snapshot so g2 can take them in turn.
+	d := graph.NewDelta(g)
+	if _, err := d.InsertEdge(0, v); err != nil {
+		t.Fatal(err)
+	}
+	g1 := d.Compact()
+	e1, e2 := g1.AcquireBFS(), g1.AcquireBFS()
+	g1.ReleaseBFS(e2)
+	g1.ReleaseBFS(e1)
+	if _, err := d.DeleteEdge(0, v); err != nil {
+		t.Fatal(err)
+	}
+	g2 := d.Compact()
+	r2, err := Test(MustNewProblem(g2, p.Va, p.Vb), opts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range []Result{r1, r2} {
+		if r0.Tau != r.Tau || r0.Z != r.Z || r0.P != r.P || r0.N != r.N {
+			t.Fatalf("run %d diverges: %+v vs %+v", i+1, r0, r)
+		}
+		for j := range r0.SA {
+			if r0.SA[j] != r.SA[j] || r0.SB[j] != r.SB[j] {
+				t.Fatalf("run %d: density vector diverges at %d", i+1, j)
+			}
 		}
 	}
 }

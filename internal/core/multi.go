@@ -81,7 +81,7 @@ type MultiEvaluator struct {
 
 // NewMultiEvaluator returns an evaluator for the membership's event
 // vocabulary on g at level h. bfs supplies the traversal engine
-// (typically from a graph.EnginePool); nil allocates a private one.
+// (typically g.AcquireBFS()); nil allocates a private one.
 func NewMultiEvaluator(g *graph.Graph, mem *EventMembership, h int, bfs *graph.BFS) (*MultiEvaluator, error) {
 	if mem.n != g.NumNodes() {
 		return nil, fmt.Errorf("core: event membership universe %d does not match graph size %d", mem.n, g.NumNodes())

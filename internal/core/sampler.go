@@ -41,9 +41,9 @@ type SamplerStats struct {
 	Population int   // N = |V^h_{a∪b}| when enumerated (Batch BFS), else -1
 }
 
-// Sampler draws reference nodes for a TESC test. Implementations reuse
-// internal BFS buffers and are therefore not safe for concurrent use;
-// create one per goroutine.
+// Sampler draws reference nodes for a TESC test. The built-in samplers
+// hold no per-call state: each call takes its traversal engine from the
+// problem's graph (Graph.AcquireBFS) and returns it when done.
 type Sampler interface {
 	// Name identifies the strategy in reports ("batch-bfs", ...).
 	Name() string
@@ -62,19 +62,6 @@ const (
 	maxDrawFactor = 50
 	maxDrawSlack  = 1000
 )
-
-// engineFor returns a BFS engine bound to g: one taken from pool when
-// the pool is bound to g (pooled is true; the caller puts it back),
-// else the sampler-owned *own, reallocated when it is bound elsewhere.
-func engineFor(pool *graph.EnginePool, own **graph.BFS, g *graph.Graph) (bfs *graph.BFS, pooled bool) {
-	if pool != nil && pool.Graph() == g {
-		return pool.Get(), true
-	}
-	if *own == nil || (*own).Graph() != g {
-		*own = graph.NewBFS(g)
-	}
-	return *own, false
-}
 
 // vicinityMemo serves the h-vicinities of one request's event nodes to
 // the rejection and importance samplers, traversing each distinct event
@@ -161,24 +148,15 @@ func (m *vicinityMemo) vicinity(i int) []graph.NodeID {
 // BatchBFSSampler materializes the whole reference population V^h_{a∪b}
 // with one multi-source BFS from Va∪b (Algorithm 1, worst case
 // O(|V|+|E|)) and then draws n nodes uniformly without replacement.
-type BatchBFSSampler struct {
-	// Engines, when non-nil and bound to the problem's graph, supplies
-	// the traversal engine from a shared pool instead of a sampler-owned
-	// allocation — the serving tier's per-graph-version pooling.
-	Engines *graph.EnginePool
-
-	bfs *graph.BFS
-}
+type BatchBFSSampler struct{}
 
 // Name implements Sampler.
 func (s *BatchBFSSampler) Name() string { return "batch-bfs" }
 
 // SampleReferences implements Sampler.
 func (s *BatchBFSSampler) SampleReferences(p *Problem, h, n int, rng *rand.Rand) (RefSample, error) {
-	bfs, pooled := engineFor(s.Engines, &s.bfs, p.G)
-	if pooled {
-		defer s.Engines.Put(bfs)
-	}
+	bfs := p.G.AcquireBFS()
+	defer p.G.ReleaseBFS(bfs)
 	// The engine's flat visit buffer IS the enumerated population; the
 	// draw shuffles its prefix in place (engine scratch is fair game
 	// between traversals), so materializing V^h_{a∪b} costs no copy and
@@ -247,7 +225,6 @@ type RejectionSampler struct {
 	// Index must cover level h for the problem's graph.
 	Index *vicinity.Index
 
-	bfs     *graph.BFS
 	memoCap *int // test hook: replaces the |V| arena cap of vicinityMemo
 }
 
@@ -259,9 +236,8 @@ func (s *RejectionSampler) SampleReferences(p *Problem, h, n int, rng *rand.Rand
 	if err := s.checkIndex(p, h); err != nil {
 		return RefSample{}, err
 	}
-	if s.bfs == nil || s.bfs.Graph() != p.G {
-		s.bfs = graph.NewBFS(p.G)
-	}
+	bfs := p.G.AcquireBFS()
+	defer p.G.ReleaseBFS(bfs)
 	eventNodes := p.EventNodes()
 	alias, err := sampling.NewAlias(s.Index.Weights(eventNodes, h))
 	if err != nil {
@@ -270,7 +246,7 @@ func (s *RejectionSampler) SampleReferences(p *Problem, h, n int, rng *rand.Rand
 
 	var st SamplerStats
 	st.Population = -1
-	memo := newVicinityMemo(s.bfs, eventNodes, h, s.memoCap)
+	memo := newVicinityMemo(bfs, eventNodes, h, s.memoCap)
 	defer memo.release()
 	seen := make(map[graph.NodeID]bool, n)
 	nodes := make([]graph.NodeID, 0, n)
@@ -282,7 +258,7 @@ func (s *RejectionSampler) SampleReferences(p *Problem, h, n int, rng *rand.Rand
 		u := vic[rng.IntN(len(vic))]
 		// Step 3: c = |V^h_u ∩ Va∪b|.
 		c := 0
-		s.bfs.Run([]graph.NodeID{u}, h, func(w graph.NodeID, _ int) {
+		bfs.Run([]graph.NodeID{u}, h, func(w graph.NodeID, _ int) {
 			if p.Union.Contains(w) {
 				c++
 			}
@@ -345,12 +321,7 @@ type ImportanceSampler struct {
 	// BatchSize is the number of reference nodes drawn per event-node
 	// draw; 0 or 1 means the plain Algorithm 2.
 	BatchSize int
-	// Engines, when non-nil and bound to the problem's graph, supplies
-	// the traversal engine from a shared pool instead of a sampler-owned
-	// allocation (see BatchBFSSampler.Engines).
-	Engines *graph.EnginePool
 
-	bfs     *graph.BFS
 	memoCap *int // test hook: replaces the |V| arena cap of vicinityMemo
 }
 
@@ -368,10 +339,8 @@ func (s *ImportanceSampler) SampleReferences(p *Problem, h, n int, rng *rand.Ran
 	if err := rs.checkIndex(p, h); err != nil {
 		return RefSample{}, fmt.Errorf("tesc: importance sampler: %w", err)
 	}
-	bfs, pooled := engineFor(s.Engines, &s.bfs, p.G)
-	if pooled {
-		defer s.Engines.Put(bfs)
-	}
+	bfs := p.G.AcquireBFS()
+	defer p.G.ReleaseBFS(bfs)
 	batch := max(s.BatchSize, 1)
 	eventNodes := p.EventNodes()
 	alias, err := sampling.NewAlias(s.Index.Weights(eventNodes, h))
@@ -424,18 +393,15 @@ func (s *ImportanceSampler) SampleReferences(p *Problem, h, n int, rng *rand.Ran
 // the expected number of wasted examinations is n·|V|/N − n (§4.4), so
 // the strategy only pays off when V^h_{a∪b} covers much of the graph
 // (large |Va∪b| and/or large h).
-type WholeGraphSampler struct {
-	bfs *graph.BFS
-}
+type WholeGraphSampler struct{}
 
 // Name implements Sampler.
 func (s *WholeGraphSampler) Name() string { return "whole-graph" }
 
 // SampleReferences implements Sampler.
 func (s *WholeGraphSampler) SampleReferences(p *Problem, h, n int, rng *rand.Rand) (RefSample, error) {
-	if s.bfs == nil || s.bfs.Graph() != p.G {
-		s.bfs = graph.NewBFS(p.G)
-	}
+	bfs := p.G.AcquireBFS()
+	defer p.G.ReleaseBFS(bfs)
 	var st SamplerStats
 	st.Population = -1
 	nodes := make([]graph.NodeID, 0, n)
@@ -448,7 +414,7 @@ func (s *WholeGraphSampler) SampleReferences(p *Problem, h, n int, rng *rand.Ran
 		st.Examined++
 		// Eligibility test with early exit on the first event node seen.
 		eligible := false
-		s.bfs.RunUntil([]graph.NodeID{graph.NodeID(v)}, h, func(w graph.NodeID, _ int) bool {
+		bfs.RunUntil([]graph.NodeID{graph.NodeID(v)}, h, func(w graph.NodeID, _ int) bool {
 			if p.Union.Contains(w) {
 				eligible = true
 				return false

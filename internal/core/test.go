@@ -49,24 +49,12 @@ type Options struct {
 	// Statistic selects Kendall's τ (default, the paper's measure) or
 	// Spearman's ρ.
 	Statistic Statistic
-	// Workers parallelizes the density phase (n independent h-hop BFS)
-	// over a goroutine pool: 0 or 1 evaluates sequentially, negative
-	// values select GOMAXPROCS. Results are identical either way.
-	Workers int
 	// Densities, when non-nil, replaces the built-in density evaluation
 	// with a custom source — screen's cross-pair memo injects one that
 	// reuses traversals across event pairs. Custom sources are only
 	// valid with uniform samplers: the importance estimator needs the
 	// per-node union counts a shared-vocabulary source cannot supply.
-	// Ignores Workers.
 	Densities DensitySource
-	// Engines, when non-nil, supplies pooled BFS engines bound to the
-	// problem's graph, so repeated tests stop allocating an O(|V|) mark
-	// array each (tescd pools one per graph version). Used by the
-	// built-in density evaluator and the default Batch BFS sampler; an
-	// explicit Sampler takes its own pool (BatchBFSSampler.Engines,
-	// ImportanceSampler.Engines). Ignored when bound to a different graph.
-	Engines *graph.EnginePool
 	// Ctx, when non-nil, lets a caller abandon the test: the density
 	// phase (the dominant cost — n independent h-hop BFS) checks it
 	// between chunks of traversals and returns the context's cause
@@ -176,7 +164,7 @@ func Test(p *Problem, opts Options) (Result, error) {
 	}
 	sampler := opts.Sampler
 	if sampler == nil {
-		sampler = &BatchBFSSampler{Engines: opts.Engines}
+		sampler = &BatchBFSSampler{}
 	}
 	rng := opts.Rand
 	if rng == nil {
@@ -206,24 +194,10 @@ func Test(p *Problem, opts Options) (Result, error) {
 		sa, sb, ds = opts.Densities.EvalAll(sample.Nodes)
 		densityBFS = opts.Densities.Traversals() - before
 	} else {
-		var eval *DensityEvaluator
-		if opts.Engines != nil && opts.Engines.Graph() == p.G {
-			bfs := opts.Engines.Get()
-			defer opts.Engines.Put(bfs)
-			eval = NewDensityEvaluatorBFS(p, opts.H, bfs)
-			eval.Engines = opts.Engines // parallel workers draw from the pool too
-		} else {
-			eval = NewDensityEvaluator(p, opts.H)
-		}
-		if opts.Workers == 0 || opts.Workers == 1 {
-			if opts.Ctx != nil {
-				sa, sb, ds, err = eval.evalAllCtx(opts.Ctx, sample.Nodes)
-			} else {
-				sa, sb, ds = eval.EvalAll(sample.Nodes)
-			}
-		} else {
-			sa, sb, ds, err = eval.EvalAllParallelCtx(opts.Ctx, sample.Nodes, opts.Workers)
-		}
+		bfs := p.G.AcquireBFS()
+		defer p.G.ReleaseBFS(bfs)
+		eval := NewDensityEvaluatorBFS(p, opts.H, bfs)
+		sa, sb, ds, err = eval.evalAllCtx(opts.Ctx, sample.Nodes)
 		if err != nil {
 			return Result{}, err
 		}

@@ -74,23 +74,24 @@ func BenchmarkRunCallback(b *testing.B) {
 	_ = count
 }
 
-// BenchmarkEnginePool measures the pooled engine round-trip against the
-// per-query allocation it replaces (one O(|V|) mark array each).
+// BenchmarkEnginePool measures the graph's engine round-trip
+// (AcquireBFS/ReleaseBFS) against the per-query allocation it replaces
+// (one O(|V|) mark array each).
 func BenchmarkEnginePool(b *testing.B) {
 	benchGraphSetup(b)
-	pool := NewEnginePool(benchGraph.g)
-	pool.Put(pool.Get()) // warm
+	g := benchGraph.g
+	g.ReleaseBFS(g.AcquireBFS()) // warm
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e := pool.Get()
+		e := g.AcquireBFS()
 		_ = e.Collect([]NodeID{benchGraph.srcs[i%len(benchGraph.srcs)]}, 1)
-		pool.Put(e)
+		g.ReleaseBFS(e)
 	}
 }
 
-// BenchmarkNewBFSPerQuery is what EnginePool replaces: allocating fresh
-// traversal state per query.
+// BenchmarkNewBFSPerQuery is what the graph's free list replaces:
+// allocating fresh traversal state per query.
 func BenchmarkNewBFSPerQuery(b *testing.B) {
 	benchGraphSetup(b)
 	b.ReportAllocs()

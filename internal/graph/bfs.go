@@ -8,8 +8,8 @@ import "fmt"
 // (one per density evaluation, plus the traversals inside the samplers),
 // so the engine keeps its frontier queues and an epoch-stamped visited
 // array across calls: after warm-up a traversal performs zero heap
-// allocations. The engine is NOT safe for concurrent use; create one per
-// goroutine (see NewBFS).
+// allocations. The engine is NOT safe for concurrent use; each goroutine
+// takes its own from the graph (see Graph.AcquireBFS).
 type BFS struct {
 	g       *Graph
 	mark    []uint32
@@ -44,9 +44,9 @@ func (b *BFS) Graph() *Graph { return b.g }
 // stamps compared against the *current* traversal's epoch (stale
 // stamps from traversals over the previous graph are never read as
 // visited), and the frontier/visit buffers are reset by every
-// traversal. The monitor subsystem rebinds its retained engines
-// across graph snapshots so a standing-query re-screen allocates no
-// O(|V|) scratch per mutation.
+// traversal. A Delta.Compact successor rebinds the base graph's idle
+// engines to itself (see AcquireBFS), so queries after a mutation
+// allocate no O(|V|) scratch.
 func (b *BFS) Rebind(g *Graph) error {
 	if g.NumNodes() != len(b.mark) {
 		return fmt.Errorf("graph: rebinding BFS engine for %d nodes to a %d-node graph", len(b.mark), g.NumNodes())

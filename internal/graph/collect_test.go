@@ -74,30 +74,3 @@ func TestCollectNegativeDepth(t *testing.T) {
 		t.Fatalf("Collect(h=-1) visited %d nodes", len(got))
 	}
 }
-
-// TestEnginePool checks the pool's graph binding: engines for the
-// pool's graph round-trip, foreign engines are dropped instead of
-// recycled into the wrong snapshot's pool.
-func TestEnginePool(t *testing.T) {
-	g1 := randomTestGraph(t, 50, 100, false, 2)
-	g2 := randomTestGraph(t, 50, 100, false, 3)
-	pool := NewEnginePool(g1)
-	if pool.Graph() != g1 {
-		t.Fatal("pool bound to wrong graph")
-	}
-	e := pool.Get()
-	if e.Graph() != g1 {
-		t.Fatal("pooled engine bound to wrong graph")
-	}
-	pool.Put(e)
-	if again := pool.Get(); again != e {
-		t.Error("engine was not recycled") // sync.Pool may drop, but not immediately in a quiet test
-	}
-	foreign := NewBFS(g2)
-	pool.Put(foreign) // must not panic, must not recycle
-	got := pool.Get()
-	if got == foreign {
-		t.Fatal("foreign engine recycled into the pool")
-	}
-	pool.Put(nil) // tolerated
-}

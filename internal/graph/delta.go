@@ -156,7 +156,10 @@ func (d *Delta) Changes() []EdgeChange { return d.log }
 // delta onto it: a single O(n + m + Δ log Δ) pass that keeps each
 // adjacency list sorted by merging the base list with the per-node
 // staged insertions, instead of rebuilding (and re-sorting) the whole
-// graph through a Builder.
+// graph through a Builder. The successor inherits the base graph's
+// idle BFS engines as its queries need them (the node count is
+// unchanged), so the first queries on the new snapshot reuse warm
+// scratch; until then the base keeps them.
 func (d *Delta) Compact() *Graph {
 	if len(d.added) == 0 && len(d.removed) == 0 {
 		return d.base
@@ -232,6 +235,8 @@ func (d *Delta) Compact() *Graph {
 	offsets[n] = int64(len(adj))
 
 	out := &Graph{offsets: offsets, adj: adj, m: d.m, directed: g.directed}
+	out.pred.Store(g)
+	g.pred.Store(nil)
 	d.base = out
 	clear(d.added)
 	clear(d.removed)

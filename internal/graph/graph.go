@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 )
 
 // NodeID identifies a node. Node IDs are dense: a graph with n nodes uses
@@ -45,6 +46,24 @@ type Graph struct {
 	// it. Graphs are immutable, so the cache can never go stale.
 	transposeOnce sync.Once
 	transpose     *Graph
+
+	// idle is the graph's free list of BFS engines, holding at most
+	// idleCap of them (see AcquireBFS); busy counts the engines handed
+	// out and not yet released. low is the list's shortest length
+	// since the last drain sweep and cold the count of bottom entries
+	// the previous sweep found untaken (see trimIdle); enlisted records
+	// membership of the drain set.
+	engMu     sync.Mutex
+	idle      []*BFS
+	idleCap   int
+	busy      int
+	low, cold int
+	enlisted  bool
+	// pred is the graph Delta.Compact built this one from, whose idle
+	// engines AcquireBFS inherits. It is cleared once pred has neither
+	// idle nor busy engines, and Compact clears the base's own pred, so
+	// a graph keeps at most one superseded snapshot alive.
+	pred atomic.Pointer[Graph]
 }
 
 // Directed reports whether the graph stores one-way arcs (built with

@@ -392,7 +392,9 @@ func reverseBall(g *graph.Graph, sources []graph.NodeID, h int) []graph.NodeID {
 	if len(valid) == 0 {
 		return nil
 	}
-	graph.NewBFS(rg).Run(valid, h, func(v graph.NodeID, _ int) {
+	bfs := rg.AcquireBFS()
+	defer rg.ReleaseBFS(bfs)
+	bfs.Run(valid, h, func(v graph.NodeID, _ int) {
 		out = append(out, v)
 	})
 	return out

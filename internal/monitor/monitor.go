@@ -271,15 +271,10 @@ type Monitor struct {
 	// in-flight evaluation.
 	runMu sync.Mutex
 	memo  *screen.SharedMemo
-	// engines are the retained BFS engines of this monitor, rebound to
-	// each new graph snapshot before a re-screen: the O(|V|) scratch
-	// (mark arrays, frontiers) is allocated once per monitor, not once
-	// per mutation. Guarded by runMu.
-	engines []*graph.BFS
 
 	mu      sync.Mutex // guards the fields below
 	pending []pendingDelta
-	batches int // delta batches queued since the last drain
+	batches int // delta batches queued or being re-screened
 	timer   *time.Timer
 	closed  bool
 	history []Sample
@@ -308,8 +303,9 @@ func (m *Monitor) Last() (Sample, bool) {
 	return m.history[len(m.history)-1], true
 }
 
-// Pending returns the number of delta batches queued but not yet
-// folded into a re-screen.
+// Pending returns the number of delta batches not yet folded into a
+// recorded re-screen: queued ones and those a running re-screen is
+// folding. Zero means the history has caught up with every batch.
 func (m *Monitor) Pending() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -381,11 +377,10 @@ func (m *Monitor) run(force bool) (Sample, bool, error) {
 		var keep []pendingDelta
 		var dirty []graph.NodeID
 		drainedAll := false
-		drained, batches, kept := 0, 0, 0
+		drained, batches := 0, 0
 		for _, d := range m.pending {
 			if d.epoch > epoch {
 				keep = append(keep, d)
-				kept += d.batches
 				continue
 			}
 			drained++
@@ -396,7 +391,6 @@ func (m *Monitor) run(force bool) (Sample, bool, error) {
 			dirty = append(dirty, d.dirty...)
 		}
 		m.pending = keep
-		m.batches = kept
 		m.timer = nil
 		m.mu.Unlock()
 
@@ -424,7 +418,6 @@ func (m *Monitor) run(force bool) (Sample, bool, error) {
 			if drained > 0 {
 				m.mu.Lock()
 				m.pending = append(m.pending, pendingDelta{epoch: epoch, dirty: dirty, all: drainedAll, batches: batches})
-				m.batches += batches
 				m.mu.Unlock()
 			}
 			staleRetries++
@@ -433,12 +426,22 @@ func (m *Monitor) run(force bool) (Sample, bool, error) {
 			}
 			continue
 		}
+		if err == nil {
+			m.record(sample)
+		}
+		// The drained batches stay in Pending until their re-screen is
+		// recorded (or fails), so Pending() == 0 means the history is
+		// caught up.
+		m.mu.Lock()
+		if !m.closed {
+			m.batches -= batches
+		}
+		m.mu.Unlock()
 		if err != nil {
 			return last, ran, err
 		}
 		last = sample
 		ran = true
-		m.record(sample)
 	}
 
 	// Deltas bound to a not-yet-visible snapshot stay queued; make
@@ -469,7 +472,6 @@ func (m *Monitor) screenOnce(g *graph.Graph, store *events.Store, epoch uint64, 
 			return e
 		},
 	}
-	cfg.Engines = m.bindEngines(g)
 	start := time.Now()
 	res, err := screen.Run(g, store, [][2]string{{m.def.A, m.def.B}}, cfg)
 	if err != nil {
@@ -498,28 +500,6 @@ func (m *Monitor) screenOnce(g *graph.Graph, store *events.Store, epoch uint64, 
 		m.mgr.nodesRecomputed.Add(res.BFSRuns)
 	}
 	return sample, nil
-}
-
-// bindEngines rebinds this monitor's retained BFS engines to the
-// current snapshot and lends them to the run through a pool: the
-// O(|V|) scratch (mark arrays, frontiers) is allocated once per
-// monitor, not once per mutation. Engines that cannot rebind (node
-// count changed — impossible under live mutation, possible across
-// exotic restores) are dropped and reallocated. Callers hold runMu.
-func (m *Monitor) bindEngines(g *graph.Graph) *graph.EnginePool {
-	if m.engines == nil {
-		m.engines = []*graph.BFS{graph.NewBFS(g), graph.NewBFS(g)}
-	}
-	pool := graph.NewEnginePool(g)
-	kept := m.engines[:0]
-	for _, eng := range m.engines {
-		if eng.Rebind(g) == nil {
-			pool.Put(eng)
-			kept = append(kept, eng)
-		}
-	}
-	m.engines = kept
-	return pool
 }
 
 // screenWatchlist runs one epoch-pinned planned ranking over the whole
@@ -568,7 +548,6 @@ func (m *Monitor) screenWatchlist(g *graph.Graph, store *events.Store, epoch uin
 		},
 		K: m.def.TopK,
 	}
-	cfg.Engines = m.bindEngines(g)
 	res, err := screen.Plan(g, store, pairs, cfg)
 	if err != nil {
 		return Sample{}, err

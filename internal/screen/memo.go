@@ -2,6 +2,7 @@ package screen
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -27,13 +28,13 @@ const memoBudgetBytes = 256 << 20
 // occurrence counts of all K events plus |V^h_r|); every later pair
 // that samples the node extracts its sa/sb with two array loads.
 //
-// Concurrency is a lock-free per-node claim: states[r] moves 0 → 1 by
-// CAS (the winner runs the BFS and publishes with a release store of
-// 2), and readers only touch counts/sizes after observing state 2. A
-// worker that loses the claim race while the winner is mid-flight
-// computes locally into its own scratch instead of spinning — duplicate
-// work on a window so narrow it is unmeasurable, in exchange for no
-// blocking anywhere.
+// Concurrency is a per-node claim: states[r] moves 0 → 1 by CAS (the
+// winner runs the BFS and publishes with a release store of 2), and
+// readers only touch counts/sizes after observing state 2. A worker
+// that loses the claim race yields until the winner publishes — one
+// h-hop BFS at most — so every distinct node is traversed exactly once
+// and the sweep's BFSRuns/MemoHits split does not depend on the
+// schedule.
 type densityMemo struct {
 	k      int
 	states []atomic.Uint32 // 0 empty, 1 claimed, 2 published
@@ -65,11 +66,9 @@ func newDensityMemo(n, k int) *densityMemo {
 }
 
 // eval returns the K-vector of occurrence counts and |V^h_r| for
-// reference node r, traversing at most once per distinct node across
-// the whole sweep. scratch (len K) is used when a concurrent claimer
-// owns the node mid-flight; the returned slice aliases either the memo
-// or scratch and is valid until the caller's next eval.
-func (m *densityMemo) eval(r graph.NodeID, multi *core.MultiEvaluator, scratch []int32) (counts []int32, size int32) {
+// reference node r, traversing exactly once per distinct node across
+// the whole sweep. The returned slice aliases the memo.
+func (m *densityMemo) eval(r graph.NodeID, multi *core.MultiEvaluator) (counts []int32, size int32) {
 	st := &m.states[r]
 	lo := int64(r) * int64(m.k)
 	for {
@@ -85,9 +84,8 @@ func (m *densityMemo) eval(r graph.NodeID, multi *core.MultiEvaluator, scratch [
 			m.sizes[r] = int32(multi.Eval(r, region))
 			st.Store(2)
 			return region, m.sizes[r]
-		default: // claimed by another worker: compute locally, don't wait
-			sz := multi.Eval(r, scratch)
-			return scratch, int32(sz)
+		default: // claimed by another worker: wait for it to publish
+			runtime.Gosched()
 		}
 	}
 }
@@ -268,10 +266,9 @@ func (m *SharedMemo) problemFor(g *graph.Graph, store *events.Store, pair [2]str
 // DensityEvaluator would compute, since unit-intensity sums are exact
 // integers in float64. One memoSource per worker; retarget per pair.
 type memoSource struct {
-	memo    *densityMemo
-	multi   *core.MultiEvaluator
-	scratch []int32
-	a, b    int
+	memo  *densityMemo
+	multi *core.MultiEvaluator
+	a, b  int
 	// shared is set when the memo is a caller-owned SharedMemo, whose
 	// store-keyed problem/membership caches the source then borrows.
 	shared *SharedMemo
@@ -300,7 +297,7 @@ func (s *memoSource) EvalAll(rs []graph.NodeID) (sa, sb []float64, ds []core.Den
 	}
 	sa, sb = s.sa[:len(rs)], s.sb[:len(rs)]
 	for i, r := range rs {
-		counts, size := s.memo.eval(r, s.multi, s.scratch)
+		counts, size := s.memo.eval(r, s.multi)
 		// Unit-intensity sums are exact integers in float64, so these
 		// divisions are bit-identical to Density.SA()/SB().
 		sa[i] = float64(counts[s.a]) / float64(size)

@@ -3,6 +3,8 @@ package screen
 import (
 	"fmt"
 	"math/rand/v2"
+	"reflect"
+	"runtime"
 	"testing"
 
 	"tesc/internal/events"
@@ -101,22 +103,86 @@ func TestMemoBitIdentical(t *testing.T) {
 	}
 }
 
-// TestMemoWithEnginePool pins that lending pooled BFS engines to the
-// sweep changes nothing in the report.
+// inheritEngines returns a graph equal to g that holds g's idle BFS
+// engines, inherited (and rebound twice) through Delta.Compact: an
+// absent edge is inserted, then deleted again.
+func inheritEngines(t *testing.T, g *graph.Graph) *graph.Graph {
+	t.Helper()
+	v := graph.NodeID(1)
+	for g.HasEdge(0, v) {
+		v++
+	}
+	d := graph.NewDelta(g)
+	if _, err := d.InsertEdge(0, v); err != nil {
+		t.Fatal(err)
+	}
+	pullEngines(d.Compact())
+	if _, err := d.DeleteEdge(0, v); err != nil {
+		t.Fatal(err)
+	}
+	g2 := d.Compact()
+	pullEngines(g2)
+	return g2
+}
+
+// pullEngines makes g inherit its predecessor's idle engines now: a
+// successor takes them only as it is queried. Inherited engines come
+// out first and go back last, so they are the next ones handed out.
+func pullEngines(g *graph.Graph) {
+	held := make([]*graph.BFS, 2*runtime.GOMAXPROCS(0))
+	for i := range held {
+		held[i] = g.AcquireBFS()
+	}
+	for i := len(held) - 1; i >= 0; i-- {
+		g.ReleaseBFS(held[i])
+	}
+}
+
+// TestMemoWithEnginePool pins that a sweep on engines inherited from a
+// predecessor snapshot reports exactly what a sweep on fresh engines
+// does, counters included.
 func TestMemoWithEnginePool(t *testing.T) {
 	g, store := memoFixture(t, false, 4, 30, 7)
 	pairs := AllPairs(store, 1)
 	cfg := Config{H: 2, SampleSize: 150, Seed: 9, Workers: 3}
-	plain, err := Run(g, store, pairs, cfg)
+	fresh, err := Run(g, store, pairs, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Engines = graph.NewEnginePool(g)
-	pooled, err := Run(g, store, pairs, cfg)
+	inherited, err := Run(inheritEngines(t, g), store, pairs, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	samePairs(t, plain, pooled)
+	if !reflect.DeepEqual(fresh, inherited) {
+		t.Fatalf("inherited engines changed the report:\nfresh     %+v\ninherited %+v", fresh, inherited)
+	}
+}
+
+// TestRunWorkersIdentical pins that the worker count is invisible in a
+// sweep's Result, work counters included: a worker that loses a memo
+// claim waits for the winner instead of traversing again, so BFSRuns is
+// the number of distinct reference nodes on any schedule.
+func TestRunWorkersIdentical(t *testing.T) {
+	for _, directed := range []bool{false, true} {
+		g, store := memoFixture(t, directed, 6, 25, 11)
+		pairs := AllPairs(store, 1)
+		var want Result
+		for _, workers := range []int{1, 2, 4, 8} {
+			cfg := Config{H: 2, SampleSize: 200, Seed: 5, Workers: workers}
+			got, err := Run(g, store, pairs, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if workers == 1 {
+				want = got
+				continue
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("directed=%v workers=%d: Result differs from workers=1\n got BFSRuns=%d MemoHits=%d\nwant BFSRuns=%d MemoHits=%d",
+					directed, workers, got.BFSRuns, got.MemoHits, want.BFSRuns, want.MemoHits)
+			}
+		}
+	}
 }
 
 // TestScreenSampleRoutesThroughLogLinearKendall audits the satellite

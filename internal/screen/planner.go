@@ -22,7 +22,8 @@ import (
 // candidate pairs by a cheap co-occurrence prior, evaluates densities
 // incrementally over each pair's reference sample, and terminates a
 // pair as soon as an upper bound on its final score falls below the
-// current bar (the k-th best completed score, or θ). Two bounds are
+// bar (the k-th best score among the pairs queued at least planLag
+// places before it, or θ). Two bounds are
 // intersected at every checkpoint:
 //
 //   - stats.TauCompletionInterval — deterministic: the unevaluated
@@ -81,14 +82,17 @@ type PlanConfig struct {
 	Index *vicinity.Index
 	// Stream, when non-nil, is called with the current ranked result
 	// set each time a completed pair improves it — top-k results
-	// stream out while the sweep runs. Calls are serialized and the
-	// slice is the callback's to keep; keep the callback cheap, it is
-	// invoked on the worker path.
+	// stream out while the sweep runs. Completed pairs are offered in
+	// queue order, so one may wait for a slower pair queued before it
+	// (a canceled plan offers the waiting ones when it stops). Calls
+	// are serialized and the slice is the callback's to keep; keep the
+	// callback cheap, it is invoked on the worker path.
 	Stream func(top []PairResult)
 }
 
 // PlanStats accounts for the planner's work. Candidates is always
-// Skipped + PrunedPrior + PrunedEarly + FullTests.
+// Skipped + PrunedPrior + PrunedEarly + FullTests. Like the ranking,
+// every counter is the same for any Workers value (see laggedBar).
 type PlanStats struct {
 	// Candidates is the number of candidate pairs considered.
 	Candidates int
@@ -205,6 +209,13 @@ func checkpointSchedule(first, n int) []int {
 // the exhaustive sweep — needs a ≈ 5σ density fluctuation.
 const defaultBoundAlpha = 1e-6
 
+// planLag is how many queue places a pair's bar trails it by: pair i
+// is pruned against the bar of the pairs before i − planLag. Workers
+// wait only when one pair is still running planLag places behind the
+// next free one; a shorter lag lets the bar rise sooner and so prunes
+// more.
+const planLag = 16
+
 // planBar is the shared pruning bar: in top-k mode the k-th best
 // COMPLETED exact score (−Inf until k pairs completed), in threshold
 // mode the constant θ. It only ever rises, which is what makes
@@ -236,6 +247,14 @@ func (b *planBar) bar() float64 {
 // offer records a completed pair's exact score and, when it improves
 // the visible result set, streams a fresh ranked snapshot.
 func (b *planBar) offer(res PairResult) {
+	if snapshot := b.record(res); snapshot != nil {
+		b.stream(snapshot)
+	}
+}
+
+// record is offer without the streaming: it returns the snapshot to
+// stream, or nil.
+func (b *planBar) record(res PairResult) []PairResult {
 	score := rankScore(b.alt, res.Tau)
 	b.mu.Lock()
 	b.completed = append(b.completed, res)
@@ -249,9 +268,7 @@ func (b *planBar) offer(res PairResult) {
 		snapshot = b.ranked()
 	}
 	b.mu.Unlock()
-	if snapshot != nil {
-		b.stream(snapshot)
-	}
+	return snapshot
 }
 
 // visible reports whether a completed score changes the result set a
@@ -285,6 +302,98 @@ func (b *planBar) ranked() []PairResult {
 		}
 	}
 	return out[:cut]
+}
+
+// laggedBar makes a planned screen's pruning independent of the worker
+// schedule. Finished pairs reach the shared bar in queue order, as the
+// finished prefix of the queue grows, and pair i is pruned against the
+// bar as it stood once the first i − planLag pairs had finished: a
+// value fixed by the inputs and the seed alone. The bar of a finished
+// pair that waits behind a running one stays pending, and so do its
+// streamed snapshots.
+type laggedBar struct {
+	*planBar
+	mu       sync.Mutex
+	moved    sync.Cond // broadcast when frontier moves or the plan stops
+	done     []bool
+	full     []*PairResult // finished full tests not yet offered
+	frontier int           // the first frontier queued pairs finished
+	at       []float64     // at[f] is the bar once the first f pairs finished
+	stopped  bool
+}
+
+func newLaggedBar(bar *planBar, n int) *laggedBar {
+	l := &laggedBar{planBar: bar, done: make([]bool, n), full: make([]*PairResult, n), at: make([]float64, n+1)}
+	l.moved.L = &l.mu
+	l.at[0] = bar.bar()
+	return l
+}
+
+// barFor returns queued pair i's pruning bar, waiting until the pairs
+// it depends on finished. It reports false once a worker stopped early:
+// the plan is being abandoned and those pairs may never finish.
+func (l *laggedBar) barFor(i int) (float64, bool) {
+	m := i - planLag
+	if l.k == 0 || m <= 0 {
+		return l.at[0], true // threshold mode's bar is θ throughout
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for l.frontier < m && !l.stopped {
+		l.moved.Wait()
+	}
+	return l.at[m], l.frontier >= m
+}
+
+// finish records queued pair i's outcome and moves the frontier over
+// every pair now finished, recording their full tests in queue order.
+// The snapshots they produce are streamed after the lock is released.
+func (l *laggedBar) finish(i int, res PairResult, full bool) {
+	var snapshots [][]PairResult
+	l.mu.Lock()
+	l.done[i] = true
+	if full {
+		l.full[i] = &res
+	}
+	moved := false
+	for l.frontier < len(l.done) && l.done[l.frontier] {
+		if r := l.full[l.frontier]; r != nil {
+			if snapshot := l.record(*r); snapshot != nil {
+				snapshots = append(snapshots, snapshot)
+			}
+			l.full[l.frontier] = nil
+		}
+		l.frontier++
+		l.at[l.frontier] = l.bar()
+		moved = true
+	}
+	if moved {
+		l.moved.Broadcast()
+	}
+	l.mu.Unlock()
+	for _, snapshot := range snapshots {
+		l.stream(snapshot)
+	}
+}
+
+// stop wakes every waiting worker once a worker abandons the plan (a
+// stale epoch or a cancellation): a pair may now depend on one nobody
+// will finish.
+func (l *laggedBar) stop() {
+	l.mu.Lock()
+	l.stopped = true
+	l.moved.Broadcast()
+	l.mu.Unlock()
+}
+
+// flush offers the full tests still pending behind unfinished pairs,
+// so a canceled plan's partial ranking holds every completed pair.
+func (l *laggedBar) flush() {
+	for _, r := range l.full {
+		if r != nil {
+			l.offer(*r)
+		}
+	}
 }
 
 // planCandidate is one queued pair with its precomputed priority and
@@ -418,7 +527,12 @@ func Plan(g *graph.Graph, store *events.Store, pairs [][2]string, cfg PlanConfig
 		return queue[i].pair[1] < queue[j].pair[1]
 	})
 
-	// Phase 2 — best-first evaluation with bound pruning.
+	// Phase 2 — best-first evaluation with bound pruning. Queued pair i
+	// is pruned against the bar of the pairs before i − planLag (see
+	// laggedBar), so which pairs are pruned — and so every PlanStats
+	// counter — depends on the inputs and the seed, not on Workers or
+	// the schedule.
+	lag := newLaggedBar(bar, len(queue))
 	var (
 		next       atomic.Int64
 		staleStop  atomic.Bool
@@ -426,17 +540,14 @@ func Plan(g *graph.Graph, store *events.Store, pairs [][2]string, cfg PlanConfig
 		mu         sync.Mutex // guards the shared counters below
 	)
 	worker := func() {
-		sampler := &core.BatchBFSSampler{Engines: cfg.Engines}
+		sampler := &core.BatchBFSSampler{}
 		var src *memoSource
 		if memo != nil {
-			var bfs *graph.BFS
-			if cfg.Engines != nil && cfg.Engines.Graph() == g {
-				bfs = cfg.Engines.Get()
-				defer cfg.Engines.Put(bfs)
-			}
+			bfs := g.AcquireBFS()
+			defer g.ReleaseBFS(bfs)
 			multi, err := core.NewMultiEvaluator(g, mem, cfg.H, bfs)
 			if err == nil {
-				src = &memoSource{memo: memo, multi: multi, scratch: make([]int32, mem.NumEvents()), shared: cfg.Memo}
+				src = &memoSource{memo: memo, multi: multi, shared: cfg.Memo}
 			}
 		}
 		var local planStats64
@@ -447,29 +558,34 @@ func Plan(g *graph.Graph, store *events.Store, pairs [][2]string, cfg PlanConfig
 			}
 			if stale() {
 				staleStop.Store(true)
+				lag.stop()
 				break
 			}
 			if cfg.canceled() != nil {
 				cancelStop.Store(true)
+				lag.stop()
+				break
+			}
+			pairBar, ok := lag.barFor(i)
+			if !ok {
 				break
 			}
 			c := queue[i]
 			var fate pairFate
-			if c.priorUB < bar.bar() {
+			var res PairResult
+			if c.priorUB < pairBar {
 				// The reach bound already caps this pair below the bar:
 				// discarded without sampling a single reference.
 				fate = fatePrunedPrior
 			} else {
-				var res PairResult
-				res, fate = planPair(g, store, c, cfg, sampler, src, eventIdx, bar, &local)
+				res, fate = planPair(g, store, c, cfg, sampler, src, eventIdx, pairBar, &local)
 				if fate == fateCanceled {
 					cancelStop.Store(true)
+					lag.stop()
 					break
 				}
-				if fate == fateFull {
-					bar.offer(res)
-				}
 			}
+			lag.finish(i, res, fate == fateFull)
 			mu.Lock()
 			switch fate {
 			case fateFull:
@@ -503,6 +619,7 @@ func Plan(g *graph.Graph, store *events.Store, pairs [][2]string, cfg PlanConfig
 		}
 		wg.Wait()
 	}
+	lag.flush()
 	if staleStop.Load() || stale() {
 		return PlanResult{}, ErrStaleEpoch
 	}
@@ -565,10 +682,10 @@ type planStats64 struct {
 // planPair evaluates one candidate incrementally: draw the exact
 // reference sample Run would draw, then walk the checkpoint schedule,
 // extending the density prefix and pruning as soon as the score bound
-// drops below the bar. A pair that survives every checkpoint finishes
+// drops below bar (the pair's laggedBar value). A pair that survives every checkpoint finishes
 // with the full-sample Kendall statistic — bit-identical to
 // screenOne's, since the same density vectors reach the same kernel.
-func planPair(g *graph.Graph, store *events.Store, c planCandidate, cfg PlanConfig, sampler core.Sampler, src *memoSource, eventIdx map[string]int, bar *planBar, local *planStats64) (PairResult, pairFate) {
+func planPair(g *graph.Graph, store *events.Store, c planCandidate, cfg PlanConfig, sampler core.Sampler, src *memoSource, eventIdx map[string]int, bar float64, local *planStats64) (PairResult, pairFate) {
 	res := PairResult{A: c.pair[0], B: c.pair[1], OccA: c.occA, OccB: c.occB}
 
 	var p *core.Problem
@@ -600,15 +717,9 @@ func planPair(g *graph.Graph, store *events.Store, c planCandidate, cfg PlanConf
 		src.retarget(eventIdx[c.pair[0]], eventIdx[c.pair[1]])
 		source = src
 	} else {
-		var eval *core.DensityEvaluator
-		if cfg.Engines != nil && cfg.Engines.Graph() == g {
-			bfs := cfg.Engines.Get()
-			defer cfg.Engines.Put(bfs)
-			eval = core.NewDensityEvaluatorBFS(p, cfg.H, bfs)
-		} else {
-			eval = core.NewDensityEvaluator(p, cfg.H)
-		}
-		source = eval
+		bfs := g.AcquireBFS()
+		defer g.ReleaseBFS(bfs)
+		source = core.NewDensityEvaluatorBFS(p, cfg.H, bfs)
 	}
 
 	sa := make([]float64, 0, n)
@@ -637,7 +748,7 @@ func planPair(g *graph.Graph, store *events.Store, c planCandidate, cfg PlanConf
 		// the k-th best completed score (or θ), under the bound. Ties
 		// at the bar keep running — that is what makes the planned
 		// top-k set exactly the exhaustive one's.
-		if scoreUB < bar.bar() {
+		if scoreUB < bar {
 			return res, fatePrunedEarly
 		}
 	}

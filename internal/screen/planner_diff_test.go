@@ -239,9 +239,9 @@ func TestPlannerDifferentialBattery(t *testing.T) {
 	}
 }
 
-// TestPlannerDifferentialEngines repeats a slice of the battery with a
-// pooled BFS engine wired in (the tescd serving configuration), since
-// the engine path changes which evaluator planPair builds.
+// TestPlannerDifferentialEngines repeats a slice of the battery on a
+// graph whose BFS engines were inherited from a predecessor snapshot
+// through Delta.Compact (the tescd configuration after a mutation).
 func TestPlannerDifferentialEngines(t *testing.T) {
 	for trial := 0; trial < 12; trial++ {
 		rng := rand.New(rand.NewPCG(0xe49, uint64(trial)))
@@ -252,11 +252,10 @@ func TestPlannerDifferentialEngines(t *testing.T) {
 			Alternative: stats.Greater,
 			Workers:     2,
 			Seed:        uint64(trial) + 40,
-			Engines:     graph.NewEnginePool(w.g),
 		}
 		oracle := diffOracle(t, w, base)
 		cfg := PlanConfig{Config: base, K: 5, FirstCheckpoint: 8}
-		got, err := Plan(w.g, w.store, w.pairs, cfg)
+		got, err := Plan(inheritEngines(t, w.g), w.store, w.pairs, cfg)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -266,7 +265,7 @@ func TestPlannerDifferentialEngines(t *testing.T) {
 		}
 		for i := range want {
 			if got.Pairs[i] != want[i] {
-				t.Fatalf("trial %d rank %d: engine-pooled planner diverged\n got %+v\nwant %+v",
+				t.Fatalf("trial %d rank %d: planner on inherited engines diverged\n got %+v\nwant %+v",
 					trial, i, got.Pairs[i], want[i])
 			}
 		}

@@ -3,6 +3,7 @@ package screen
 import (
 	"math"
 	"math/rand/v2"
+	"reflect"
 	"sort"
 	"sync"
 	"testing"
@@ -235,13 +236,51 @@ func TestPlanDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	comparePlanned(t, a.Pairs, b.Pairs, "repeat")
-	if a.Stats.FullTests != b.Stats.FullTests || a.Stats.PrunedEarly != b.Stats.PrunedEarly {
-		// Worker interleaving may race the bar, so pruned counts could
-		// in principle differ run to run — but with the same schedule
-		// and a fixed seed they should not on this fixture. If this
-		// ever flakes, the RESULT comparison above is the contract;
-		// loosen this accounting check, not that one.
-		t.Logf("work accounting differed: %+v vs %+v", a.Stats, b.Stats)
+	if a.Stats != b.Stats {
+		t.Fatalf("work accounting differed: %+v vs %+v", a.Stats, b.Stats)
+	}
+}
+
+// TestPlanWorkersIdentical pins the laggedBar contract: a pair's bar
+// depends only on the pairs planLag places ahead of it, so the whole
+// PlanResult — ranking and every work counter — is the same for any
+// worker count, including one above planLag.
+func TestPlanWorkersIdentical(t *testing.T) {
+	g, store := fixture(t)
+	pairs := AllPairs(store, 1)
+	if len(pairs) <= planLag {
+		t.Fatalf("fixture has %d candidates, need more than the lag of %d", len(pairs), planLag)
+	}
+	for _, mode := range []struct {
+		name  string
+		k     int
+		theta float64
+		memo  bool
+	}{{"top1", 1, 0, true}, {"top3-nomemo", 3, 0, false}, {"theta", 0, 0.2, true}} {
+		var want PlanResult
+		for _, workers := range []int{1, 2, 4, 8, 2 * planLag} {
+			cfg := PlanConfig{
+				Config: Config{H: 2, SampleSize: 400, Alternative: stats.Greater, Seed: 7,
+					Workers: workers, MinOccurrences: 5, NoMemo: !mode.memo},
+				K: mode.k, Theta: mode.theta,
+			}
+			got, err := Plan(g, store, pairs, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkPlanStats(t, got.Stats, mode.name)
+			if workers == 1 {
+				if got.Stats.PrunedEarly == 0 {
+					t.Fatalf("%s: nothing pruned, the battery would not see the bar: %+v", mode.name, got.Stats)
+				}
+				want = got
+				continue
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s workers=%d: PlanResult differs from workers=1\n got %+v\nwant %+v",
+					mode.name, workers, got.Stats, want.Stats)
+			}
+		}
 	}
 }
 

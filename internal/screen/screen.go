@@ -84,11 +84,6 @@ type Config struct {
 	// is BFSRuns/MemoHits. The memo also disables itself when the dense
 	// node × event arrays would exceed the memory budget.
 	NoMemo bool
-	// Engines, when non-nil, supplies pooled BFS engines bound to g for
-	// the samplers and memo evaluators, so back-to-back sweeps and
-	// concurrent queries share warm O(|V|) scratch (tescd passes its
-	// per-graph-version pool).
-	Engines *graph.EnginePool
 	// Memo, when non-nil (and NoMemo unset), replaces the per-run
 	// density memo with a caller-owned SharedMemo that persists across
 	// runs: entries published by earlier sweeps are served instead of
@@ -235,17 +230,14 @@ func Run(g *graph.Graph, store *events.Store, pairs [][2]string, cfg Config) (Re
 	var bfsRuns atomic.Int64
 	var staleStop, cancelStop atomic.Bool
 	worker := func() {
-		sampler := &core.BatchBFSSampler{Engines: cfg.Engines}
+		sampler := &core.BatchBFSSampler{}
 		var src *memoSource
 		if memo != nil {
-			var bfs *graph.BFS
-			if cfg.Engines != nil && cfg.Engines.Graph() == g {
-				bfs = cfg.Engines.Get()
-				defer cfg.Engines.Put(bfs)
-			}
+			bfs := g.AcquireBFS()
+			defer g.ReleaseBFS(bfs)
 			multi, err := core.NewMultiEvaluator(g, mem, cfg.H, bfs)
 			if err == nil {
-				src = &memoSource{memo: memo, multi: multi, scratch: make([]int32, mem.NumEvents()), shared: cfg.Memo}
+				src = &memoSource{memo: memo, multi: multi, shared: cfg.Memo}
 			}
 		}
 		var localBFS int64
@@ -444,7 +436,6 @@ func screenOne(g *graph.Graph, store *events.Store, pair [2]string, cfg Config, 
 		Alternative: cfg.Alternative,
 		Alpha:       cfg.Alpha,
 		Rand:        rand.New(rand.NewPCG(seed, seed^0x9e3779b97f4a7c15)),
-		Engines:     cfg.Engines,
 		Ctx:         cfg.Ctx,
 	}
 	if densities != nil {

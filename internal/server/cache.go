@@ -45,6 +45,10 @@ type IndexCache struct {
 	// build constructs the index; overridable by tests to count or
 	// stall construction.
 	build func(g *tesc.Graph, maxLevel, workers int) (*tesc.VicinityIndex, error)
+	// staleJoined, when set by a test, is called under mu each time a
+	// reader joins a stale single-flight build instead of starting one,
+	// so the test can hold that build until every reader has joined.
+	staleJoined func()
 
 	mu      sync.Mutex
 	entries map[IndexKey]*cacheEntry
@@ -165,6 +169,9 @@ func (c *IndexCache) Get(e *GraphEntry, snap Snapshot, maxLevel, workers int) (*
 func (c *IndexCache) getStaleLocked(snap Snapshot, key IndexKey, workers int) (*tesc.VicinityIndex, error) {
 	sk := staleKey{IndexKey: key, gv: snap.GraphVersion}
 	if ce, ok := c.stale[sk]; ok {
+		if c.staleJoined != nil {
+			c.staleJoined()
+		}
 		c.mu.Unlock()
 		<-ce.ready
 		return ce.idx, ce.err

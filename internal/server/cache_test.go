@@ -249,16 +249,19 @@ func TestCacheStaleSnapshotSingleFlight(t *testing.T) {
 	}
 	buildsBefore := c.Builds()
 
-	// Stall the build so all stale readers provably overlap it.
+	// Stall the build until every other stale reader has joined it, so
+	// all of them provably overlap it: a reader arriving after the build
+	// finished would rightly start its own.
 	const readers = 16
 	inner := c.build
-	var calls atomic.Int64
+	var calls, joined atomic.Int64
 	release := make(chan struct{})
 	c.build = func(g *tesc.Graph, maxLevel, workers int) (*tesc.VicinityIndex, error) {
 		calls.Add(1)
 		<-release
 		return inner(g, maxLevel, workers)
 	}
+	c.staleJoined = func() { joined.Add(1) }
 	var wg sync.WaitGroup
 	results := make([]*tesc.VicinityIndex, readers)
 	errs := make([]error, readers)
@@ -269,7 +272,7 @@ func TestCacheStaleSnapshotSingleFlight(t *testing.T) {
 			results[i], errs[i] = c.Get(e, before, 2, 1)
 		}(i)
 	}
-	for calls.Load() == 0 {
+	for calls.Load() == 0 || joined.Load() < readers-1 {
 		runtime.Gosched()
 	}
 	close(release)

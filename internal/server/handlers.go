@@ -493,10 +493,6 @@ func (s *Server) runCorrelate(r *http.Request, e *GraphEntry, snap Snapshot, req
 		}
 		opts.Index = idx
 	}
-	// Pooled BFS engines for this graph version: concurrent queries
-	// stop allocating O(|V|) mark arrays each.
-	opts.Engines = e.EnginePool(snap)
-
 	start := time.Now()
 	res, err := tesc.Correlation(snap.Graph, va, vb, opts)
 	if err != nil {
@@ -667,7 +663,6 @@ func (s *Server) handleScreen(w http.ResponseWriter, r *http.Request) {
 		Workers:        req.Workers,
 		Seed:           req.Seed,
 	}
-	opts.Engines = e.EnginePool(snap)
 	// A screen job holds a background admission slot for its whole
 	// lifetime — the middleware only applied quota/drain/deadline for
 	// this class (classBackgroundJob), so the concurrency bound is

@@ -2,6 +2,7 @@ package server
 
 import (
 	"net/http"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -63,9 +64,11 @@ func TestHealthzTraversalCounters(t *testing.T) {
 	}
 }
 
-// TestEnginePoolPerGraphVersion pins the pool invalidation contract:
-// one pool per graph version, a fresh pool after an edge mutation, and
-// never a downgrade to a stale snapshot's pool.
+// TestEnginePoolPerGraphVersion pins the engine invalidation contract
+// across an edge mutation: a snapshot's graph reuses its own engines,
+// the mutation publishes a graph whose engines all traverse the new
+// version, and an engine a query held over the old snapshot never
+// enters the new version's free list.
 func TestEnginePoolPerGraphVersion(t *testing.T) {
 	env := newTestEnv(t)
 	e, ok := env.srv.Registry().Get("g")
@@ -73,10 +76,13 @@ func TestEnginePoolPerGraphVersion(t *testing.T) {
 		t.Fatal("graph not registered")
 	}
 	snap1 := e.Snapshot()
-	p1 := e.EnginePool(snap1)
-	if p1 != e.EnginePool(snap1) {
-		t.Fatal("same snapshot did not reuse the pool")
+	g1 := snap1.Graph.Internal()
+	idle, busy := g1.AcquireBFS(), g1.AcquireBFS()
+	g1.ReleaseBFS(idle)
+	if g1.AcquireBFS() != idle {
+		t.Fatal("same snapshot did not reuse its engine")
 	}
+	g1.ReleaseBFS(idle)
 
 	env.do(t, http.StatusOK, "POST", "/v1/graphs/g/edges",
 		map[string]any{"insert": [][2]int{{0, 199}}}, nil)
@@ -84,17 +90,25 @@ func TestEnginePoolPerGraphVersion(t *testing.T) {
 	if snap2.GraphVersion == snap1.GraphVersion {
 		t.Fatal("mutation did not bump the graph version")
 	}
-	p2 := e.EnginePool(snap2)
-	if p2 == p1 {
-		t.Fatal("pool survived a graph mutation")
+	g2 := snap2.Graph.Internal()
+	if g2 == g1 {
+		t.Fatal("mutation did not publish a new graph")
 	}
-	// A query still holding the old snapshot gets a working pool but
-	// must not displace the new version's.
-	if stale := e.EnginePool(snap1); stale == p2 || stale == p1 {
-		t.Fatal("stale snapshot was handed a current pool")
+	if busy.Graph() != g1 {
+		t.Fatal("an engine in use was rebound to the new version")
 	}
-	if e.EnginePool(snap2) != p2 {
-		t.Fatal("stale snapshot displaced the current pool")
+	// The query holding the old snapshot finishes: its engine goes back
+	// to the old graph, never to the current one.
+	g2.ReleaseBFS(busy)
+	g1.ReleaseBFS(busy)
+	if stale := g1.AcquireBFS(); stale.Graph() != g1 {
+		t.Fatal("stale snapshot was handed an engine of another version")
+	}
+	for i := 0; i < 2*runtime.GOMAXPROCS(0)+2; i++ {
+		cur := g2.AcquireBFS()
+		if cur == busy || cur.Graph() != g2 {
+			t.Fatal("current snapshot was handed an engine bound to a stale graph")
+		}
 	}
 }
 

@@ -68,14 +68,6 @@ type GraphEntry struct {
 	mu      sync.RWMutex
 	builder *events.Builder
 	cur     Snapshot
-
-	// poolMu guards the per-graph-version BFS engine pool. The pool is
-	// bound to exactly one graph snapshot; an edge mutation publishes a
-	// new graph and the next query lazily swaps in a fresh pool, so
-	// engines can never serve traversals over a stale version.
-	poolMu      sync.Mutex
-	pool        *tesc.EnginePool
-	poolVersion uint64
 }
 
 // Name returns the registry name of the graph.
@@ -99,28 +91,6 @@ func (e *GraphEntry) Store() *events.Store { return e.Snapshot().Store }
 
 // Epoch returns the current snapshot's epoch.
 func (e *GraphEntry) Epoch() uint64 { return e.Snapshot().Epoch }
-
-// EnginePool returns the shared BFS engine pool for the given snapshot
-// of this entry, creating or replacing it when the snapshot's graph
-// version is newer than the cached pool's. Queries pass the snapshot
-// they bound to; a query racing a mutation with an older snapshot gets
-// a private throwaway pool rather than polluting (or reviving) the
-// newer version's pool — engine reuse is an optimization, version
-// consistency is not negotiable.
-func (e *GraphEntry) EnginePool(snap Snapshot) *tesc.EnginePool {
-	e.poolMu.Lock()
-	defer e.poolMu.Unlock()
-	switch {
-	case e.pool != nil && e.poolVersion == snap.GraphVersion:
-		return e.pool
-	case e.pool == nil || snap.GraphVersion > e.poolVersion:
-		e.pool = snap.Graph.NewEnginePool()
-		e.poolVersion = snap.GraphVersion
-		return e.pool
-	default: // stale snapshot mid-mutation: don't downgrade the cache
-		return snap.Graph.NewEnginePool()
-	}
-}
 
 // MutateEdges applies an edge-change batch and publishes the successor
 // snapshot. No-op changes (inserting a present edge, deleting an absent

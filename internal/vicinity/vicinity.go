@@ -62,7 +62,8 @@ func Build(g *graph.Graph, maxLevel int, opts Options) (*Index, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			bfs := graph.NewBFS(g)
+			bfs := g.AcquireBFS()
+			defer g.ReleaseBFS(bfs)
 			counts := make([]int32, maxLevel+1)
 			for lo := range next {
 				hi := lo + chunk
@@ -130,7 +131,8 @@ func BuildForNodes(g *graph.Graph, nodes []graph.NodeID, maxLevel int, opts Opti
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			bfs := graph.NewBFS(g)
+			bfs := g.AcquireBFS()
+			defer g.ReleaseBFS(bfs)
 			counts := make([]int32, maxLevel+1)
 			for lo := range next {
 				hi := lo + chunk
@@ -294,12 +296,14 @@ func DirtySet(oldG, newG *graph.Graph, changes []graph.EdgeChange, maxLevel int)
 	dirtyMark := make([]bool, oldG.NumNodes())
 	var dirty []graph.NodeID
 	for _, rg := range [2]*graph.Graph{reachOld, reachNew} {
-		graph.NewBFS(rg).Run(endpoints, maxLevel, func(v graph.NodeID, _ int) {
+		bfs := rg.AcquireBFS()
+		bfs.Run(endpoints, maxLevel, func(v graph.NodeID, _ int) {
 			if !dirtyMark[v] {
 				dirtyMark[v] = true
 				dirty = append(dirty, v)
 			}
 		})
+		rg.ReleaseBFS(bfs)
 	}
 	return dirty, nil
 }
@@ -341,7 +345,8 @@ func (idx *Index) ApplyDeltaDirty(newG *graph.Graph, changes []graph.EdgeChange,
 	// Small repairs are cheaper single-threaded than over a pool.
 	const chunk = 256
 	if len(dirty) <= chunk || workers == 1 {
-		bfs := graph.NewBFS(newG)
+		bfs := newG.AcquireBFS()
+		defer newG.ReleaseBFS(bfs)
 		counts := make([]int32, idx.maxLevel+1)
 		for _, v := range dirty {
 			idx.computeNode(bfs, v, counts)
@@ -360,7 +365,8 @@ func (idx *Index) ApplyDeltaDirty(newG *graph.Graph, changes []graph.EdgeChange,
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			bfs := graph.NewBFS(newG)
+			bfs := newG.AcquireBFS()
+			defer newG.ReleaseBFS(bfs)
 			counts := make([]int32, idx.maxLevel+1)
 			for lo := range next {
 				hi := min(lo+chunk, len(dirty))

@@ -56,9 +56,6 @@ type ScreenOptions struct {
 	// to trade the O(NumNodes × events) count arrays for traversal
 	// time.
 	NoMemo bool
-	// Engines, when non-nil and bound to g, lends pooled BFS engines to
-	// the sweep's workers (see Graph.NewEnginePool).
-	Engines *EnginePool
 	// Ctx, when non-nil, lets the caller abandon the sweep: workers
 	// check it between pairs and the in-flight density phase checks it
 	// between traversal chunks. A canceled Screen discards its partial
@@ -122,9 +119,6 @@ func Screen(g *Graph, ev EventSet, opts ScreenOptions) (ScreenResult, error) {
 		Progress:       opts.Progress,
 		NoMemo:         opts.NoMemo,
 		Ctx:            opts.Ctx,
-	}
-	if opts.Engines != nil {
-		cfg.Engines = opts.Engines.p
 	}
 	if opts.Bonferroni {
 		cfg.Correction = screen.FWER
@@ -225,9 +219,6 @@ func ScreenTopK(g *Graph, ev EventSet, opts ScreenTopKOptions) (ScreenTopKResult
 		K:          opts.K,
 		Theta:      opts.Theta,
 		BoundAlpha: opts.BoundAlpha,
-	}
-	if opts.Engines != nil {
-		cfg.Engines = opts.Engines.p
 	}
 	if cfg.Seed == 0 {
 		cfg.Seed = 0x5c4ee

@@ -131,7 +131,8 @@ type EdgeChange struct {
 // lists the changes that actually took effect, in order, which is
 // exactly what VicinityIndex.ApplyDelta must be fed to repair an index
 // across the transition. Self-loops and out-of-range endpoints fail
-// without applying anything.
+// without applying anything. The new snapshot takes g's idle BFS
+// engines (traversal scratch) as its own queries need them.
 func (g *Graph) ApplyEdgeChanges(changes []EdgeChange) (*Graph, []EdgeChange, error) {
 	n := g.NumNodes()
 	staged := make([]graph.EdgeChange, len(changes))
@@ -239,23 +240,6 @@ func (x *VicinityIndex) MaxLevel() int { return x.idx.MaxLevel() }
 // before use.
 func (x *VicinityIndex) BuiltFor(g *Graph) bool { return x.idx.Graph() == g.g }
 
-// EnginePool is a free list of BFS traversal engines bound to one graph
-// snapshot. Each engine owns O(NumNodes) scratch (an epoch-stamped mark
-// array plus frontier buffers), so a serving tier that runs many
-// correlation queries against the same graph should create one pool per
-// graph snapshot and pass it via Options.Engines / ScreenOptions.Engines:
-// queries then reuse warm scratch instead of allocating it per request.
-// Safe for concurrent use. Invalidate by dropping the pool when the
-// graph snapshot is replaced (tescd keys its pools by graph version).
-type EnginePool struct {
-	p *graph.EnginePool
-}
-
-// NewEnginePool returns an empty engine pool bound to g.
-func (g *Graph) NewEnginePool() *EnginePool {
-	return &EnginePool{p: graph.NewEnginePool(g.g)}
-}
-
 // Method selects a reference-node sampling strategy.
 type Method int
 
@@ -361,11 +345,6 @@ type Options struct {
 	// keyword). When non-nil they must have length NumNodes, be zero
 	// outside the corresponding occurrence list, and positive on it.
 	IntensityA, IntensityB []float64
-	// Engines, when non-nil and bound to this graph, lends pooled BFS
-	// engines to the density evaluator and the BatchBFS sampler so
-	// repeated queries stop allocating O(NumNodes) scratch each (see
-	// Graph.NewEnginePool). Results are identical with or without it.
-	Engines *EnginePool
 	// Ctx, when non-nil, lets the caller abandon the test: the density
 	// phase (the dominant cost) checks it between chunks of traversals
 	// and returns an error wrapping the context's cause
@@ -445,9 +424,6 @@ func Correlation(g *Graph, va, vb []int, opts Options) (Result, error) {
 		Alpha:       opts.Alpha,
 		Ctx:         opts.Ctx,
 	}
-	if opts.Engines != nil {
-		copts.Engines = opts.Engines.p
-	}
 	if opts.UseSpearman {
 		copts.Statistic = core.SpearmanRho
 	}
@@ -490,20 +466,12 @@ func Correlation(g *Graph, va, vb []int, opts Options) (Result, error) {
 func makeSampler(opts Options) (core.Sampler, error) {
 	switch opts.Method {
 	case BatchBFS:
-		s := &core.BatchBFSSampler{}
-		if opts.Engines != nil {
-			s.Engines = opts.Engines.p
-		}
-		return s, nil
+		return &core.BatchBFSSampler{}, nil
 	case Importance:
 		if opts.Index == nil {
 			return nil, fmt.Errorf("tesc: Importance sampling requires Options.Index (see Graph.BuildVicinityIndex)")
 		}
-		s := &core.ImportanceSampler{Index: opts.Index.idx, BatchSize: opts.ImportanceBatch}
-		if opts.Engines != nil {
-			s.Engines = opts.Engines.p
-		}
-		return s, nil
+		return &core.ImportanceSampler{Index: opts.Index.idx, BatchSize: opts.ImportanceBatch}, nil
 	case WholeGraph:
 		return &core.WholeGraphSampler{}, nil
 	case Rejection:
