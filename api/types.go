@@ -141,7 +141,10 @@ type CorrelateResponse struct {
 	Population  int     `json:"population"`
 	SamplerBFS  int64   `json:"sampler_bfs"`
 	DensityBFS  int64   `json:"density_bfs"`
-	ElapsedMS   float64 `json:"elapsed_ms"`
+	// ElapsedMS is the computation's wall time: the vicinity index
+	// get (a build, when the query is the first at its h) plus the
+	// test itself. Coalesced requests share the leader's value.
+	ElapsedMS float64 `json:"elapsed_ms"`
 	// Epoch identifies the snapshot the whole query ran against: the
 	// graph, the event occurrences and the vicinity index all belong to
 	// this one version even if mutations landed mid-query.

@@ -4,11 +4,14 @@ import (
 	"context"
 	"errors"
 	"math/rand/v2"
+	"runtime/debug"
+	"slices"
 	"testing"
 	"time"
 
 	"tesc/internal/graph"
 	"tesc/internal/graphgen"
+	"tesc/internal/vicinity"
 )
 
 func bigProblem(t *testing.T) *Problem {
@@ -120,5 +123,95 @@ func TestEvalAllCtxCancelsBetweenChunks(t *testing.T) {
 	}
 	if want := int64(2 * cancelChunk); ev.BFSCount != want {
 		t.Fatalf("canceled pass ran %d traversals, want %d (two chunks)", ev.BFSCount, want)
+	}
+}
+
+// eventPassProblem has enough event nodes for several cancellation
+// chunks of the event-centric density pass.
+func eventPassProblem(t *testing.T) (*Problem, *vicinity.Index) {
+	t.Helper()
+	p, idx := erProblem(t, 2000, 5000, 150, 150, 95)
+	if n := len(p.EventNodes()); n < 4*cancelChunk {
+		t.Fatalf("%d event nodes, want at least %d", n, 4*cancelChunk)
+	}
+	return p, idx
+}
+
+// An event-centric pass canceled mid-way stops at the next check,
+// cancelChunk event nodes on, and leaves the engine's slot map zeroed.
+func TestEventPassCancelsBetweenChunks(t *testing.T) {
+	p, idx := eventPassProblem(t)
+	off := 0 // no memo: every event node is one traversal
+	sample, err := (&ImportanceSampler{Index: idx, memoCap: &off}).sample(p, 2, 100, rand.New(rand.NewPCG(96, 1)), true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sample.memo.release()
+	closed := make(chan struct{})
+	close(closed)
+	ctx := &doneAfter{Context: context.Background(), checks: 3, closed: closed}
+	bfs := graph.NewBFS(p.G)
+	_, _, _, traversals, err := evalByEvents(ctx, p, sample.memo, sample.Nodes, bfs)
+	if !errors.Is(err, ErrCanceled) || !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want ErrCanceled wrapping context.Canceled", err)
+	}
+	if want := int64(2 * cancelChunk); traversals != want {
+		t.Fatalf("canceled pass ran %d traversals, want %d (two chunks)", traversals, want)
+	}
+	for _, r := range sample.Nodes {
+		if s := bfs.Slots()[r]; s != 0 {
+			t.Fatalf("slot of reference node %d left at %d", r, s)
+		}
+	}
+}
+
+// Test canceled during the event-centric pass reports ErrCanceled with
+// the cause wrapped, and gives back both the engine it took from the
+// graph and the sampler's memo.
+func TestTestCanceledDuringEventPass(t *testing.T) {
+	p, idx := eventPassProblem(t)
+	// No collection may drain the warm engines while the test watches.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	e1, e2 := p.G.AcquireBFS(), p.G.AcquireBFS()
+	before := map[*graph.BFS][]uint32{e1: slices.Clone(e1.Slots()), e2: slices.Clone(e2.Slots())}
+	p.G.ReleaseBFS(e1)
+	p.G.ReleaseBFS(e2)
+
+	var memo *vicinityMemo
+	s := &ImportanceSampler{Index: idx, handOffs: func(m *vicinityMemo) { memo = m }}
+	closed := make(chan struct{})
+	close(closed)
+	opts := DefaultOptions(2)
+	opts.SampleSize = 600
+	opts.Sampler = s
+	if res, err := Test(p, opts); err != nil || res.DensityBFS >= int64(res.N) {
+		t.Fatalf("uncanceled: DensityBFS %d for N %d (err %v), want the event pass", res.DensityBFS, res.N, err)
+	}
+	// Checks 1 and 2 bracket the sampler; check 3 opens the event
+	// pass and check 4 ends its first chunk.
+	opts.Ctx = &doneAfter{Context: context.Background(), checks: 4, closed: closed}
+	_, err := Test(p, opts)
+	if !errors.Is(err, ErrCanceled) || !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want ErrCanceled wrapping context.Canceled", err)
+	}
+	if memo == nil {
+		t.Fatal("the sampler handed Test no memo")
+	}
+	if memo.nodes != nil || memo.sizes != nil {
+		t.Fatal("Test did not release the memo")
+	}
+	a1, a2 := p.G.AcquireBFS(), p.G.AcquireBFS()
+	defer p.G.ReleaseBFS(a1)
+	defer p.G.ReleaseBFS(a2)
+	if !(a1 == e1 && a2 == e2 || a1 == e2 && a2 == e1) {
+		t.Fatal("Test did not give its engines back to the graph")
+	}
+	// Entries the pass wrote are zero again; the rest keep their stamps.
+	for _, e := range []*graph.BFS{a1, a2} {
+		for v, s := range e.Slots() {
+			if s != 0 && s != before[e][v] {
+				t.Fatalf("an engine went back with slot %d of node %d set", s, v)
+			}
+		}
 	}
 }

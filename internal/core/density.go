@@ -174,3 +174,123 @@ func (e *DensityEvaluator) evalAllCtx(ctx context.Context, rs []graph.NodeID) (s
 	}
 	return sa, sb, ds, nil
 }
+
+// eventPassEligible reports whether p admits the event-centric
+// density pass at all: the vicinity relation must be symmetric (an
+// undirected graph), and the densities plain occurrence counts (unit
+// intensities — an intensity-weighted sum depends on the order Eval
+// adds in).
+func eventPassEligible(p *Problem) bool {
+	return !p.G.Directed() && p.IntensityA == nil && p.IntensityB == nil
+}
+
+// Costs of the plan rule, in fifths of one visited node of a
+// per-reference traversal (Collect plus the label scan). Measured per
+// visited ID on the 100k-node coauthorship surrogate (2-core Xeon,
+// h = 1..3, |Va∪b| from 150 to 12k, n = 900): a per-reference
+// traversal costs 22–30 ns, an event-pass traversal with its slot scan
+// 18–32 ns, and the slot scan of a memoized vicinity 4–5 ns. So
+// traversing is worth 4 and scanning 1 against the per-reference 5.
+const (
+	perRefCost   = 5 // one visited ID of a per-reference BFS
+	traverseCost = 4 // traversing one ID of an unmemoized event vicinity
+	scanCost     = 1 // scanning one ID of any event vicinity
+)
+
+// preferEventPass decides, before any density work runs, between one
+// BFS per reference node in rs and the event-centric pass over m, from
+// sizes the index already holds. The per-reference plan visits
+// Σ_r |V^h_r| nodes. The event-centric plan traverses the event nodes
+// the sampler did not memoize and scans every event vicinity once. The
+// cheaper estimate wins; a tie goes to the per-reference plan. Event
+// sets much larger than the sample (|Va∪b| ≫ n) therefore keep the
+// per-reference pass, and the scan over them stops as soon as the
+// event-centric estimate loses.
+func preferEventPass(m *vicinityMemo, rs []graph.NodeID) bool {
+	var perRef int64
+	for _, r := range rs {
+		perRef += int64(m.sizes[r])
+	}
+	budget := perRefCost * perRef
+	var cost int64
+	for j, u := range m.nodes {
+		size := int64(m.sizes[u])
+		cost += scanCost * size
+		if m.spans[j].end == 0 {
+			cost += traverseCost * size
+		}
+		if cost >= budget {
+			return false
+		}
+	}
+	return true
+}
+
+// evalByEvents is the event-centric density pass of an importance
+// sample: it yields exactly EvalAll's vectors and records for the
+// distinct reference nodes rs without one traversal per reference
+// node. On an undirected graph r ∈ V^h_u ⟺ u ∈ V^h_r, so walking every
+// event node u's vicinity once and crediting u's memberships to each
+// reference node it reaches counts |Va ∩ V^h_r|, |Vb ∩ V^h_r| and
+// |Va∪b ∩ V^h_r|; |V^h_r| is the index column m.sizes. The counts are
+// integers and Eval's unit path divides the same integers, so sa, sb
+// and ds are bit-identical to EvalAll's. p must pass
+// eventPassEligible.
+//
+// Vicinities the sampler memoized are read from m's arena; the rest are
+// traversed with bfs and scanned straight out of its Collect buffer,
+// never stored — traversals counts them. The node→slot map lives in
+// bfs.Slots() and is zeroed again before returning. ctx is checked
+// every cancelChunk event nodes, as EvalAll checks every cancelChunk
+// reference nodes.
+func evalByEvents(ctx context.Context, p *Problem, m *vicinityMemo, rs []graph.NodeID, bfs *graph.BFS) (sa, sb []float64, ds []Density, traversals int64, err error) {
+	slots := bfs.Slots()
+	for i, r := range rs {
+		slots[r] = uint32(i)
+	}
+	defer func() {
+		for _, r := range rs {
+			slots[r] = 0
+		}
+	}()
+	n := uint32(len(rs))
+	ds = make([]Density, len(rs))
+	for j, u := range m.nodes {
+		if j%cancelChunk == 0 {
+			if err := ctxErr(ctx); err != nil {
+				return nil, nil, nil, traversals, err
+			}
+		}
+		var vic []graph.NodeID
+		if sp := m.spans[j]; sp.end > 0 {
+			vic = m.arena[sp.start:sp.end]
+		} else {
+			traversals++
+			vic = bfs.Collect([]graph.NodeID{u}, m.h)
+		}
+		var da, db int
+		if p.Va.Contains(u) {
+			da = 1
+		}
+		if p.Vb.Contains(u) {
+			db = 1
+		}
+		for _, v := range vic {
+			if s := slots[v]; s < n && rs[s] == v {
+				d := &ds[s]
+				d.CountA += da
+				d.CountB += db
+				d.CountUnion++
+			}
+		}
+	}
+	sa = make([]float64, len(rs))
+	sb = make([]float64, len(rs))
+	for i, r := range rs {
+		d := &ds[i]
+		d.VicinitySize = int(m.sizes[r])
+		d.SumA, d.SumB = float64(d.CountA), float64(d.CountB)
+		sa[i], sb[i] = d.SA(), d.SB()
+	}
+	return sa, sb, ds, traversals, nil
+}

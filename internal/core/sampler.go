@@ -20,6 +20,11 @@ type RefSample struct {
 	Freq []int
 	// Stats records the work the sampler performed.
 	Stats SamplerStats
+
+	// memo is the importance sampler's per-request vicinity memo, handed
+	// on to Test for the event-centric density phase (evalByEvents)
+	// with its engine already released. Test returns it to the pool.
+	memo *vicinityMemo
 }
 
 // Weighted reports whether the sample carries importance frequencies.
@@ -77,7 +82,8 @@ type vicinityMemo struct {
 	bfs        *graph.BFS
 	nodes      []graph.NodeID // event nodes; spans is indexed like nodes
 	h          int
-	limit      int // arena cap in IDs
+	sizes      []int32 // the index's |V^h_·| column, set on hand-off
+	limit      int     // arena cap in IDs
 	arena      []graph.NodeID
 	spans      []memoSpan
 	traversals int64 // h-hop BFS run so far
@@ -113,7 +119,7 @@ func newVicinityMemo(bfs *graph.BFS, nodes []graph.NodeID, h int, capOverride *i
 // release returns the memo to the pool; its vicinities must no longer
 // be in use.
 func (m *vicinityMemo) release() {
-	m.bfs, m.nodes = nil, nil
+	m.bfs, m.nodes, m.sizes = nil, nil, nil
 	memos.Put(m)
 }
 
@@ -322,7 +328,8 @@ type ImportanceSampler struct {
 	// draw; 0 or 1 means the plain Algorithm 2.
 	BatchSize int
 
-	memoCap *int // test hook: replaces the |V| arena cap of vicinityMemo
+	memoCap  *int                // test hook: replaces the |V| arena cap of vicinityMemo
+	handOffs func(*vicinityMemo) // test hook: sees each memo handed to Test
 }
 
 // Name implements Sampler.
@@ -335,6 +342,13 @@ func (s *ImportanceSampler) Name() string {
 
 // SampleReferences implements Sampler.
 func (s *ImportanceSampler) SampleReferences(p *Problem, h, n int, rng *rand.Rand) (RefSample, error) {
+	return s.sample(p, h, n, rng, false)
+}
+
+// sample is SampleReferences; with handOff set, the sample carries the
+// request's vicinity memo (RefSample.memo) instead of returning it to
+// the pool, so Test can build the densities from the same vicinities.
+func (s *ImportanceSampler) sample(p *Problem, h, n int, rng *rand.Rand, handOff bool) (sample RefSample, err error) {
 	rs := &RejectionSampler{Index: s.Index}
 	if err := rs.checkIndex(p, h); err != nil {
 		return RefSample{}, fmt.Errorf("tesc: importance sampler: %w", err)
@@ -351,7 +365,11 @@ func (s *ImportanceSampler) SampleReferences(p *Problem, h, n int, rng *rand.Ran
 	var st SamplerStats
 	st.Population = -1
 	memo := newVicinityMemo(bfs, eventNodes, h, s.memoCap)
-	defer memo.release()
+	defer func() {
+		if sample.memo == nil {
+			memo.release()
+		}
+	}()
 	pos := make(map[graph.NodeID]int, n) // node → index in nodes
 	nodes := make([]graph.NodeID, 0, n)
 	freq := make([]int, 0, n)
@@ -380,7 +398,15 @@ func (s *ImportanceSampler) SampleReferences(p *Problem, h, n int, rng *rand.Ran
 	if len(nodes) < 2 {
 		return RefSample{}, ErrTooFewReferences
 	}
-	return RefSample{Nodes: nodes, Freq: freq, Stats: st}, nil
+	sample = RefSample{Nodes: nodes, Freq: freq, Stats: st}
+	if handOff {
+		memo.bfs, memo.sizes = nil, s.Index.Sizes(h)
+		sample.memo = memo
+		if s.handOffs != nil {
+			s.handOffs(memo)
+		}
+	}
+	return sample, nil
 }
 
 // ---------------------------------------------------------------------

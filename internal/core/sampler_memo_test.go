@@ -93,8 +93,9 @@ func memoVariants(mk func(memoCap *int) Sampler) map[string]Sampler {
 
 // TestVicinityMemoDifferential pins the memo as a pure cache: on, capped
 // and off it yields the same sample and the same full test result. Only
-// the traversal count may differ, and it may only grow as the cap
-// shrinks.
+// the traversal counts may differ: the sampler's may only grow as the
+// cap shrinks, and an importance test's density phase traverses the
+// event nodes the memo did not hold.
 func TestVicinityMemoDifferential(t *testing.T) {
 	kinds := map[string]func(idx *vicinity.Index) func(memoCap *int) Sampler{
 		"importance": func(idx *vicinity.Index) func(*int) Sampler {
@@ -146,9 +147,9 @@ func TestVicinityMemoDifferential(t *testing.T) {
 				}
 				for name := range variants {
 					s, r := samples[name], results[name]
-					s.Stats.BFSCount, r.SamplerStats.BFSCount = 0, 0
+					s.Stats.BFSCount, r.SamplerStats.BFSCount, r.DensityBFS = 0, 0, 0
 					ref, refRes := samples["off"], results["off"]
-					ref.Stats.BFSCount, refRes.SamplerStats.BFSCount = 0, 0
+					ref.Stats.BFSCount, refRes.SamplerStats.BFSCount, refRes.DensityBFS = 0, 0, 0
 					if !reflect.DeepEqual(s, ref) {
 						t.Fatalf("%s/%s seed %d h=%d: sample differs from memo off", kind, name, seed, h)
 					}

@@ -114,10 +114,13 @@ type Result struct {
 	// Weighted reports whether the t̃ estimator was used.
 	Weighted bool
 	// SamplerStats records the sampler's work; DensityBFS the density
-	// phase's h-hop traversal count — N with the built-in evaluator,
-	// possibly fewer with a memoizing Options.Densities source (screen's
-	// cross-pair memo attributes a shared node's traversal to the first
-	// pair that needed it).
+	// phase's h-hop traversal count. It is N for one BFS per reference
+	// node. The event-centric pass of an importance test (evalByEvents)
+	// counts the event nodes it traversed because the sampler had not
+	// memoized them, so SamplerStats.BFSCount + DensityBFS is about
+	// |Va∪b|. A memoizing Options.Densities source may also run fewer
+	// than N (screen's cross-pair memo attributes a shared node's
+	// traversal to the first pair that needed it).
 	SamplerStats SamplerStats
 	DensityBFS   int64
 	// SA, SB are the reference-node density vectors (diagnostics; length
@@ -175,9 +178,18 @@ func Test(p *Problem, opts Options) (Result, error) {
 		return Result{}, err
 	}
 
-	sample, err := sampler.SampleReferences(p, opts.H, opts.SampleSize, rng)
+	var sample RefSample
+	var err error
+	if is, ok := sampler.(*ImportanceSampler); ok && opts.Densities == nil && eventPassEligible(p) {
+		sample, err = is.sample(p, opts.H, opts.SampleSize, rng, true)
+	} else {
+		sample, err = sampler.SampleReferences(p, opts.H, opts.SampleSize, rng)
+	}
 	if err != nil {
 		return Result{}, err
+	}
+	if sample.memo != nil {
+		defer sample.memo.release()
 	}
 	if err := ctxErr(opts.Ctx); err != nil {
 		return Result{}, err
@@ -193,6 +205,13 @@ func Test(p *Problem, opts Options) (Result, error) {
 		before := opts.Densities.Traversals()
 		sa, sb, ds = opts.Densities.EvalAll(sample.Nodes)
 		densityBFS = opts.Densities.Traversals() - before
+	} else if sample.memo != nil && preferEventPass(sample.memo, sample.Nodes) {
+		bfs := p.G.AcquireBFS()
+		defer p.G.ReleaseBFS(bfs)
+		sa, sb, ds, densityBFS, err = evalByEvents(opts.Ctx, p, sample.memo, sample.Nodes, bfs)
+		if err != nil {
+			return Result{}, err
+		}
 	} else {
 		bfs := p.G.AcquireBFS()
 		defer p.G.ReleaseBFS(bfs)

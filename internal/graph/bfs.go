@@ -186,6 +186,16 @@ func (b *BFS) Collect(sources []NodeID, h int) []NodeID {
 	return b.visited
 }
 
+// Slots lends out Run's per-node visited stamps as a node-indexed
+// uint32 map for use between traversals; Collect never reads or writes
+// them, so a caller that only collects may keep entries across its
+// Collect calls. Entries hold arbitrary stale values: a lookup must
+// verify its hit (for a node→slot map, s < len(keys) && keys[s] == v).
+// Before the engine's next Run or RunUntil — and before it goes back to
+// the graph — the caller must zero every entry it wrote; zero is never
+// a live stamp, so that costs O(entries written), not O(|V|).
+func (b *BFS) Slots() []uint32 { return b.mark }
+
 // Vicinity appends every node of the h-vicinity of u (Definition 1:
 // all nodes within distance h of u, including u itself) to out and
 // returns the extended slice. Routed through the flat Collect kernel.

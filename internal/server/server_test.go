@@ -316,3 +316,25 @@ func TestScreenNeedsTwoEvents(t *testing.T) {
 	env.do(t, http.StatusUnprocessableEntity, "POST", "/v1/graphs/tiny/screen",
 		map[string]any{"h": 1}, nil)
 }
+
+// elapsed_ms covers the vicinity index build of a query that triggers
+// one, not just the test that follows it.
+func TestCorrelateElapsedCountsIndexBuild(t *testing.T) {
+	env := newTestEnv(t)
+	const stall = 50 * time.Millisecond
+	cache := env.srv.Cache()
+	inner := cache.build
+	cache.build = func(g *tesc.Graph, maxLevel, workers int) (*tesc.VicinityIndex, error) {
+		time.Sleep(stall)
+		return inner(g, maxLevel, workers)
+	}
+	var got correlateResponse
+	env.do(t, http.StatusOK, "POST", "/v1/graphs/g/correlate",
+		map[string]any{"a": "left", "b": "right", "h": 1, "method": "importance", "seed": 3}, &got)
+	if cache.Builds() != 1 {
+		t.Fatalf("Builds() = %d, want the query to build its index", cache.Builds())
+	}
+	if min := float64(stall.Milliseconds()); got.ElapsedMS < min {
+		t.Fatalf("elapsed_ms = %.3f, want >= %.0f (the stalled build)", got.ElapsedMS, min)
+	}
+}

@@ -378,11 +378,16 @@ type Result struct {
 	// when the sampler materialized it (BatchBFS), -1 otherwise.
 	Population int
 	// SamplerBFS counts the h-hop BFS traversals spent selecting
-	// reference nodes; DensityBFS those spent computing densities
-	// (always N). Together they characterize a method's cost (§4.4).
-	// Importance and Rejection memoize the vicinities of the event
-	// nodes they draw, so for Importance SamplerBFS is at most the
-	// number of draws and usually well below it.
+	// reference nodes; DensityBFS those spent computing densities.
+	// Together they characterize a method's cost (§4.4). Importance
+	// and Rejection memoize the vicinities of the event nodes they
+	// draw, so for Importance SamplerBFS is at most the number of draws
+	// and usually well below it. DensityBFS is N (one traversal per
+	// reference node) except for Importance on unweighted events when
+	// the event set is small against the sample: its densities are then
+	// read off the event nodes' vicinities (docs/PERFORMANCE.md), and
+	// DensityBFS counts only the event nodes the sampler did not
+	// traverse, so SamplerBFS + DensityBFS is about |Va ∪ Vb|.
 	SamplerBFS int64
 	DensityBFS int64
 }
